@@ -16,13 +16,14 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness, retrieval
-from .corpus import load_corpus, load_embeddings, load_instances
+from . import retrieval
+from .corpus import iter_generated, load_corpus, load_embeddings, load_instances, read_json_object
 from .errors import DataError, GeneratorError
 from .harness import (
     alignment_stats,
     evidence_size_sweep,
     load_experiment_config,
+    load_resources,
     loo_faithfulness,
     paired_bootstrap,
     run_experiment,
@@ -31,15 +32,7 @@ from .harness import (
 )
 from .ioutils import atomic_write_json, atomic_write_text
 from .metrics import METRIC_COLUMNS, evaluate_instance, mean_report, table_embedder
-from .retrieval import (
-    RetrievalConfig,
-    build_inverted_index,
-    build_pool,
-    load_index,
-    save_index,
-    split_embeddings,
-    write_pools,
-)
+from .retrieval import build_inverted_index, load_index, save_index, write_pools
 
 __all__ = ["main", "build_parser"]
 
@@ -149,22 +142,6 @@ def _emit(args, human: str, payload: dict) -> None:
         print(human)
 
 
-def _load_resources(config: dict):
-    """Corpus, instances, doc table, index, config and query embedder."""
-    corpus = load_corpus(config["corpus"])
-    instances = load_instances(config["instances"])
-    table = load_embeddings(config["embeddings"]) if config.get("embeddings") else None
-    cfg = RetrievalConfig(**config["retrieval"])
-    index = None
-    query_embedder = None
-    needs_retrieval = cfg.alignment in ("query_only", "facet_aligned")
-    if cfg.mode == "lexical" and needs_retrieval:
-        index = build_inverted_index(corpus)
-    if cfg.mode == "dense" and needs_retrieval:
-        table, query_embedder = split_embeddings(table, corpus)
-    return corpus, instances, table, index, cfg, query_embedder
-
-
 def cmd_index(args) -> int:
     corpus = load_corpus(args.corpus)
     index = build_inverted_index(corpus)
@@ -197,17 +174,13 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_pool(args) -> int:
-    config = load_experiment_config(args.config)
-    if args.instances:
-        config["instances"] = args.instances
-    corpus, instances, table, index, cfg, query_embedder = _load_resources(config)
+    res = load_resources(args.config)
+    instances = load_instances(args.instances) if args.instances else res.instances
     pools = []
     skipped = []
     for inst in instances:
         try:
-            pools.append(
-                build_pool(cfg, inst, index=index, table=table, query_embedder=query_embedder)
-            )
+            pools.append(res.pool_for(inst))
         except DataError as exc:
             skipped.append((inst.id, str(exc)))
     write_pools(pools, args.out)
@@ -221,30 +194,7 @@ def cmd_pool(args) -> int:
     return 0
 
 
-def _stream_generated(path: Path):
-    """Yield (id, facets) records from a generated-facets JSONL file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "facets" not in obj:
-                raise DataError(f"{path}: line {lineno}: expected fields 'id' and 'facets'")
-            if not isinstance(obj["facets"], list) or not all(
-                isinstance(f, str) for f in obj["facets"]
-            ):
-                raise DataError(f"{path}: line {lineno}: 'facets' must be a list of strings")
-            yield obj["id"], obj["facets"]
-
-
 def cmd_evaluate(args) -> int:
-    generated_path = Path(args.generated)
-    if not generated_path.exists():
-        raise DataError(f"file not found: {generated_path}")
     truth = load_instances(args.truth)
     embedder = None
     if args.embeddings:
@@ -252,7 +202,7 @@ def cmd_evaluate(args) -> int:
 
     # Stream the generated file with a read-ahead buffer: O(1) memory when
     # the two files share id order, graceful otherwise.
-    gen_iter = _stream_generated(generated_path)
+    gen_iter = iter_generated(args.generated)
     buffered: dict[str, list[str]] = {}
     exhausted = False
 
@@ -304,15 +254,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_align_stats(args) -> int:
-    config = load_experiment_config(args.config)
-    corpus, instances, table, index, cfg, query_embedder = _load_resources(config)
-    report = alignment_stats(
-        instances,
-        lambda inst: build_pool(
-            cfg, inst, index=index, table=table, query_embedder=query_embedder
-        ),
-        corpus=corpus,
-    )
+    res = load_resources(args.config)
+    report = alignment_stats(res.instances, res.pool_for, corpus=res.corpus)
     atomic_write_json(args.out, report.to_dict())
     _emit(
         args,
@@ -325,22 +268,20 @@ def cmd_align_stats(args) -> int:
 
 
 def cmd_loo(args) -> int:
-    config = load_experiment_config(args.config)
-    corpus, instances, table, index, cfg, query_embedder = _load_resources(config)
-    generator = harness._make_generator(config["generator"])
-    max_facets = int(config["generator"].get("max_facets", 5))
+    res = load_resources(args.config)
     report = loo_faithfulness(
-        instances,
-        generator,
-        cfg,
-        corpus=corpus,
-        index=index,
-        table=table,
+        res.instances,
+        res.generator,
+        res.retrieval,
+        corpus=res.corpus,
+        index=res.index,
+        table=res.doc_table,
         seed=args.seed,
         metric_kind=args.metric,
-        max_facets=max_facets,
+        max_facets=res.max_facets,
+        emit_question=res.emit_question,
         sole_provenance_only=args.sole_provenance,
-        query_embedder=query_embedder,
+        query_embedder=res.query_embedder,
     )
     atomic_write_json(args.out, report.to_dict())
     _emit(
@@ -354,29 +295,28 @@ def cmd_loo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = load_experiment_config(args.config)
     try:
         n_values = [int(x) for x in args.n.split(",") if x.strip()]
     except ValueError as exc:
         raise _UsageError(f"--n must be comma-separated integers: {exc}")
-    corpus, instances, table, index, cfg, query_embedder = _load_resources(config)
-    generator = harness._make_generator(config["generator"])
-    max_facets = int(config["generator"].get("max_facets", 5))
+    res = load_resources(args.config)
     report = evidence_size_sweep(
-        instances,
-        generator,
-        cfg,
+        res.instances,
+        res.generator,
+        res.retrieval,
         n_values,
-        corpus=corpus,
-        index=index,
-        table=table,
-        max_facets=max_facets,
-        query_embedder=query_embedder,
+        corpus=res.corpus,
+        index=res.index,
+        table=res.doc_table,
+        embedder=res.set_sim_embedder,
+        max_facets=res.max_facets,
+        emit_question=res.emit_question,
+        query_embedder=res.query_embedder,
     )
     atomic_write_text(args.out, sweep_csv_text(report))
     _emit(
         args,
-        f"swept n={n_values} over {len(instances)} instances -> {args.out}",
+        f"swept n={n_values} over {len(res.instances)} instances -> {args.out}",
         report.to_dict(),
     )
     return 0
@@ -399,7 +339,7 @@ def cmd_experiment(args) -> int:
     if args.parallelism is not None and args.parallelism < 1:
         raise _UsageError("--parallelism must be >= 1")
     config = load_experiment_config(args.config)
-    report = run_experiment(config, parallelism=args.parallelism)
+    report = run_experiment(args.config, parallelism=args.parallelism)
     flat = report.mean.to_flat_dict()
     _emit(
         args,
@@ -412,16 +352,9 @@ def cmd_experiment(args) -> int:
 
 
 def _load_report_rows(path: str) -> list[dict]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"report file not found: {p}")
-    with open(p, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{p}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(doc, dict) or "per_instance" not in doc:
-        raise DataError(f"{p}: not an experiment report (missing 'per_instance')")
+    doc = read_json_object(path, "report")
+    if "per_instance" not in doc:
+        raise DataError(f"{path}: not an experiment report (missing 'per_instance')")
     return doc["per_instance"]
 
 

@@ -20,12 +20,12 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError
+from .ioutils import atomic_write_text
 
 __all__ = [
     "normalize",
     "stopwords",
     "Document",
-    "CorpusStats",
     "Corpus",
     "ClarificationInstance",
     "EmbeddingTable",
@@ -33,6 +33,9 @@ __all__ = [
     "save_corpus",
     "load_instances",
     "load_embeddings",
+    "iter_generated",
+    "iter_jsonl",
+    "read_json_object",
 ]
 
 
@@ -77,41 +80,29 @@ class Document:
     text: str
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    doc_count: int
-    total_token_count: int
-    avg_doc_len: float
-
-
-def compute_stats(docs: tuple[Document, ...]) -> CorpusStats:
-    """Recompute corpus statistics from scratch (token counts per normalize)."""
-    lengths = [len(normalize(d.text)) for d in docs]
-    total = sum(lengths)
-    avg = total / len(docs) if docs else 0.0
-    return CorpusStats(doc_count=len(docs), total_token_count=total, avg_doc_len=avg)
+def _check_document(doc: Document, seen: set[str]) -> None:
+    """The document contract: a non-empty, unique id and non-blank text."""
+    if not doc.id:
+        raise DataError("empty document id")
+    if doc.id in seen:
+        raise DataError(f"duplicate document id {doc.id!r}")
+    if not doc.text.strip():
+        raise DataError(f"document {doc.id!r} has empty text")
+    seen.add(doc.id)
 
 
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered, immutable document collection with precomputed stats."""
+    """An ordered, immutable document collection."""
 
     docs: tuple[Document, ...]
-    stats: CorpusStats
 
     @classmethod
     def from_docs(cls, docs: list[Document] | tuple[Document, ...]) -> "Corpus":
         seen: set[str] = set()
         for doc in docs:
-            if not doc.id:
-                raise DataError("document with empty id")
-            if doc.id in seen:
-                raise DataError(f"duplicate document id {doc.id!r}")
-            seen.add(doc.id)
-            if not doc.text.strip():
-                raise DataError(f"document {doc.id!r} has empty text")
-        docs = tuple(docs)
-        return cls(docs=docs, stats=compute_stats(docs))
+            _check_document(doc, seen)
+        return cls(docs=tuple(docs))
 
     @cached_property
     def _by_id(self) -> dict[str, Document]:
@@ -143,6 +134,22 @@ class ClarificationInstance:
     question: str | None = None
 
 
+def _check_vector(key: str, value: "list[float] | np.ndarray", dim: int | None) -> np.ndarray:
+    """The embedding contract: a non-empty, flat, finite vector of the table's dimension."""
+    vec = np.asarray(value, dtype=np.float64)
+    if vec.ndim != 1:
+        raise DataError(f"embedding for {key!r} is not a flat vector")
+    if vec.shape[0] == 0:
+        raise DataError(f"embedding for {key!r} is empty")
+    if dim is not None and vec.shape[0] != dim:
+        raise DataError(
+            f"embedding for {key!r} has {vec.shape[0]} components, expected {dim}"
+        )
+    if not np.all(np.isfinite(vec)):
+        raise DataError(f"embedding for {key!r} contains a non-finite value")
+    return vec
+
+
 @dataclass(frozen=True)
 class EmbeddingTable:
     """Externally computed dense vectors keyed by document or text identifier."""
@@ -157,19 +164,8 @@ class EmbeddingTable:
         entries: dict[str, np.ndarray] = {}
         dim: int | None = None
         for key, value in raw.items():
-            vec = np.asarray(value, dtype=np.float64)
-            if vec.ndim != 1:
-                raise DataError(f"embedding for {key!r} is not a flat vector")
-            if dim is None:
-                dim = int(vec.shape[0])
-            if vec.shape[0] != dim:
-                raise DataError(
-                    f"embedding for {key!r} has {vec.shape[0]} components, expected {dim}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"embedding for {key!r} contains a non-finite value")
-            entries[key] = vec
-        assert dim is not None
+            entries[key] = _check_vector(key, value, dim)
+            dim = entries[key].shape[0]
         return cls(dim=dim, entries=entries)
 
     def vector(self, key: str) -> np.ndarray:
@@ -185,8 +181,12 @@ class EmbeddingTable:
         return len(self.entries)
 
 
-def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, parsed object) for every non-blank line."""
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, parsed object) for every non-blank line.
+
+    The toolkit's one JSONL reader: corpus, instance, embedding, generated
+    facet and pool files are all read through it.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
@@ -204,12 +204,38 @@ def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
-def _require_str(obj: dict, field: str, path: Path | str, lineno: int) -> str:
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON file that holds one object (a config, report or index)."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: {what} must be a JSON object")
+    return obj
+
+
+def _require(obj: dict, field: str, path: Path | str, lineno: int):
     if field not in obj:
         raise DataError(f"{path}: line {lineno}: missing field {field!r}")
-    value = obj[field]
+    return obj[field]
+
+
+def _require_str(obj: dict, field: str, path: Path | str, lineno: int) -> str:
+    value = _require(obj, field, path, lineno)
     if not isinstance(value, str):
         raise DataError(f"{path}: line {lineno}: field {field!r} must be a string")
+    return value
+
+
+def _require_str_list(obj: dict, field: str, path: Path | str, lineno: int) -> list[str]:
+    value = _require(obj, field, path, lineno)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DataError(f"{path}: line {lineno}: {field!r} must be a list of strings")
     return value
 
 
@@ -220,43 +246,34 @@ def load_corpus(path: str | Path) -> Corpus:
     downstream document statistics.
     """
     docs: list[Document] = []
-    seen: dict[str, int] = {}
-    for lineno, obj in _iter_jsonl(path):
-        doc_id = _require_str(obj, "id", path, lineno)
-        text = _require_str(obj, "text", path, lineno)
-        if not doc_id:
-            raise DataError(f"{path}: line {lineno}: empty document id")
-        if doc_id in seen:
-            raise DataError(
-                f"{path}: line {lineno}: duplicate document id {doc_id!r} "
-                f"(first seen on line {seen[doc_id]})"
-            )
-        if not text.strip():
-            raise DataError(f"{path}: line {lineno}: document {doc_id!r} has empty text")
-        seen[doc_id] = lineno
-        docs.append(Document(id=doc_id, text=text))
-    return Corpus.from_docs(docs)
+    seen: set[str] = set()
+    for lineno, obj in iter_jsonl(path):
+        doc = Document(
+            id=_require_str(obj, "id", path, lineno),
+            text=_require_str(obj, "text", path, lineno),
+        )
+        try:
+            _check_document(doc, seen)
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        docs.append(doc)
+    return Corpus(docs=tuple(docs))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus back out as JSONL; load_corpus(save_corpus(c)) == c."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.docs:
-            fh.write(json.dumps({"id": doc.id, "text": doc.text}, ensure_ascii=False) + "\n")
+    lines = [json.dumps({"id": d.id, "text": d.text}, ensure_ascii=False) for d in corpus.docs]
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 def load_instances(path: str | Path) -> list[ClarificationInstance]:
     """Load clarification instances from JSONL, preserving file and facet order."""
     instances: list[ClarificationInstance] = []
     seen: dict[str, int] = {}
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in iter_jsonl(path):
         inst_id = _require_str(obj, "id", path, lineno)
         query = _require_str(obj, "query", path, lineno)
-        if "facets" not in obj:
-            raise DataError(f"{path}: line {lineno}: missing field 'facets'")
-        facets = obj["facets"]
-        if not isinstance(facets, list) or not all(isinstance(f, str) for f in facets):
-            raise DataError(f"{path}: line {lineno}: 'facets' must be a list of strings")
+        facets = _require_str_list(obj, "facets", path, lineno)
         if not facets:
             raise DataError(f"{path}: line {lineno}: instance {inst_id!r} has no facets")
         for facet in facets:
@@ -279,6 +296,12 @@ def load_instances(path: str | Path) -> list[ClarificationInstance]:
     return instances
 
 
+def iter_generated(path: str | Path) -> Iterator[tuple[str, list[str]]]:
+    """Stream (id, facets) records from a generated-facets JSONL file."""
+    for lineno, obj in iter_jsonl(path):
+        yield _require_str(obj, "id", path, lineno), _require_str_list(obj, "facets", path, lineno)
+
+
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load an embedding table from JSONL ({"id","vector"} per line).
 
@@ -286,27 +309,18 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     """
     entries: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in iter_jsonl(path):
         key = _require_str(obj, "id", path, lineno)
-        if "vector" not in obj:
-            raise DataError(f"{path}: line {lineno}: missing field 'vector'")
-        raw = obj["vector"]
+        raw = _require(obj, "vector", path, lineno)
         if not isinstance(raw, list) or not all(isinstance(x, (int, float)) for x in raw):
             raise DataError(f"{path}: line {lineno}: 'vector' must be a list of numbers")
-        vec = np.asarray(raw, dtype=np.float64)
-        if dim is None:
-            if vec.shape[0] == 0:
-                raise DataError(f"{path}: line {lineno}: empty vector")
-            dim = int(vec.shape[0])
-        if vec.shape[0] != dim:
-            raise DataError(
-                f"{path}: line {lineno}: vector has {vec.shape[0]} components, expected {dim}"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise DataError(f"{path}: line {lineno}: vector contains a non-finite value")
         if key in entries:
             raise DataError(f"{path}: line {lineno}: duplicate embedding id {key!r}")
-        entries[key] = vec
+        try:
+            entries[key] = _check_vector(key, raw, dim)
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        dim = entries[key].shape[0]
     if dim is None:
         raise DataError(f"{path}: no embeddings found")
     return EmbeddingTable(dim=dim, entries=entries)

@@ -34,6 +34,7 @@ from .corpus import (
     load_embeddings,
     load_instances,
     normalize,
+    read_json_object,
 )
 from .errors import ClarikitError, DataError
 from .generator import Clarification, GeneratorRequest, extractive_generate, remote_generate
@@ -51,6 +52,7 @@ from .metrics import (
 from .retrieval import (
     EvidencePool,
     InvertedIndex,
+    QueryEmbedder,
     RetrievalConfig,
     build_inverted_index,
     build_pool,
@@ -72,7 +74,9 @@ __all__ = [
     "loo_faithfulness",
     "evidence_size_sweep",
     "taxonomy_analysis",
+    "Resources",
     "load_experiment_config",
+    "load_resources",
     "run_experiment",
     "paired_bootstrap",
 ]
@@ -469,40 +473,26 @@ _CONFIG_REQUIRED = ("corpus", "instances", "retrieval", "generator", "seed", "ou
 
 
 def load_experiment_config(path: str | Path) -> dict:
-    """Load and validate an experiment config file, failing fast on errors."""
+    """Load and validate an experiment config file, returning it as written."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(config, dict):
-        raise DataError(f"{path}: config must be a JSON object")
+    config = read_json_object(path, "config")
     validate_experiment_config(config, base_dir=path.parent)
     return config
 
 
-def validate_experiment_config(config: dict, base_dir: Path | None = None) -> None:
+def validate_experiment_config(config: dict, base_dir: Path | None = None) -> dict[str, Path]:
+    """Check a config without changing it; return its input files resolved
+    against ``base_dir`` (the working directory by default)."""
     for key in _CONFIG_REQUIRED:
         if key not in config:
             raise DataError(f"config missing required key {key!r}")
     base = base_dir or Path(".")
-    for key in ("corpus", "instances"):
-        p = Path(config[key])
-        if not p.is_absolute():
-            p = base / p
-        if not p.exists():
-            raise DataError(f"config {key} file not found: {p}")
-        config[key] = str(p)
-    if config.get("embeddings"):
-        p = Path(config["embeddings"])
-        if not p.is_absolute():
-            p = base / p
-        if not p.exists():
-            raise DataError(f"config embeddings file not found: {p}")
-        config["embeddings"] = str(p)
+    inputs = ["corpus", "instances"] + (["embeddings"] if config.get("embeddings") else [])
+    paths: dict[str, Path] = {}
+    for key in inputs:
+        paths[key] = base / config[key]
+        if not paths[key].exists():
+            raise DataError(f"config {key} file not found: {paths[key]}")
     try:
         retrieval_cfg = RetrievalConfig(**config["retrieval"])
     except (TypeError, ValueError) as exc:
@@ -512,18 +502,31 @@ def validate_experiment_config(config: dict, base_dir: Path | None = None) -> No
         raise DataError("generator config must set kind to 'extractive' or 'remote'")
     if gen["kind"] == "remote" and not gen.get("endpoint"):
         raise DataError("remote generator config requires an endpoint")
-    if retrieval_cfg.mode == "dense" and not config.get("embeddings"):
+    if retrieval_cfg.mode == "dense" and "embeddings" not in paths:
         raise DataError("dense retrieval requires an embeddings file")
     if config.get("set_sim") not in (None, "indicator", "table"):
         raise DataError("config set_sim must be 'indicator' or 'table'")
-    if config.get("set_sim") == "table" and not config.get("embeddings"):
+    if config.get("set_sim") == "table" and "embeddings" not in paths:
         raise DataError("set_sim 'table' requires an embeddings file")
     if not isinstance(config["seed"], int):
         raise DataError("config seed must be an integer")
+    return paths
 
 
-def _config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+def _config_hash(config: dict, paths: dict[str, Path]) -> str:
+    """sha256 over the config as written and the sha256 of each input file."""
+    inputs = {}
+    for key, path in paths.items():
+        # Small chunks: the run's index is still alive when this runs, so
+        # reading a whole input file at once would raise peak memory.
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 16):
+                digest.update(chunk)
+        inputs[key] = digest.hexdigest()
+    canonical = json.dumps(
+        {"config": config, "inputs": inputs}, sort_keys=True, separators=(",", ":")
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -533,6 +536,77 @@ def _make_generator(gen_config: dict) -> GeneratorFn:
     endpoint = gen_config["endpoint"]
     timeout = float(gen_config.get("timeout", 30.0))
     return lambda req: remote_generate(endpoint, req, timeout=timeout)
+
+
+@dataclass(frozen=True)
+class Resources:
+    """Everything an experiment config names, loaded once by :func:`load_resources`.
+
+    ``config`` is the config as written and ``paths`` its resolved input
+    files; ``doc_table`` holds only the vectors that retrieval may return.
+    """
+
+    config: dict
+    paths: dict[str, Path]
+    corpus: Corpus
+    instances: tuple[ClarificationInstance, ...]
+    retrieval: RetrievalConfig
+    index: InvertedIndex | None
+    doc_table: EmbeddingTable | None
+    query_embedder: QueryEmbedder | None
+    generator: GeneratorFn
+    max_facets: int
+    emit_question: bool
+    set_sim_embedder: Embedder | None
+
+    def pool_for(self, instance: ClarificationInstance) -> EvidencePool:
+        return build_pool(
+            self.retrieval,
+            instance,
+            index=self.index,
+            table=self.doc_table,
+            query_embedder=self.query_embedder,
+        )
+
+
+def load_resources(config: dict | str | Path) -> Resources:
+    """Validate a config (a dict, or a config file's path) and load what it names.
+
+    Relative input paths resolve against the config file's directory, or
+    against the working directory for a dict.
+    """
+    if isinstance(config, (str, Path)):
+        config_path = Path(config)
+        config, base_dir = read_json_object(config_path, "config"), config_path.parent
+    else:
+        config, base_dir = dict(config), None
+    paths = validate_experiment_config(config, base_dir)
+
+    corpus = load_corpus(paths["corpus"])
+    instances = tuple(load_instances(paths["instances"]))
+    table = load_embeddings(paths["embeddings"]) if "embeddings" in paths else None
+    retrieval_cfg = RetrievalConfig(**config["retrieval"])
+    index, doc_table, query_embedder = None, table, None
+    if retrieval_cfg.alignment in ("query_only", "facet_aligned"):
+        if retrieval_cfg.mode == "lexical":
+            index = build_inverted_index(corpus)
+        else:
+            doc_table, query_embedder = split_embeddings(table, corpus)
+    gen = config["generator"]
+    return Resources(
+        config=config,
+        paths=paths,
+        corpus=corpus,
+        instances=instances,
+        retrieval=retrieval_cfg,
+        index=index,
+        doc_table=doc_table,
+        query_embedder=query_embedder,
+        generator=_make_generator(gen),
+        max_facets=int(gen.get("max_facets", 5)),
+        emit_question=bool(gen.get("emit_question", False)),
+        set_sim_embedder=table_embedder(table) if config.get("set_sim") == "table" else None,
+    )
 
 
 def summary_csv_text(report: ExperimentReport) -> str:
@@ -580,65 +654,34 @@ def run_experiment(
     input order.  Outputs (report.json, summary.csv in output_dir) are
     written atomically, and only after the whole run succeeds.
     """
-    if isinstance(config, (str, Path)):
-        config = load_experiment_config(config)
-    else:
-        config = dict(config)
-        validate_experiment_config(config)
-
-    corpus = load_corpus(config["corpus"])
-    instances = load_instances(config["instances"])
-    table = load_embeddings(config["embeddings"]) if config.get("embeddings") else None
-    retrieval_cfg = RetrievalConfig(**config["retrieval"])
-    generator = _make_generator(config["generator"])
-    max_facets = int(config["generator"].get("max_facets", 5))
-    emit_question = bool(config["generator"].get("emit_question", False))
-
-    index = None
-    doc_table = table
-    query_embedder = None
-    needs_retrieval = retrieval_cfg.alignment in ("query_only", "facet_aligned")
-    if retrieval_cfg.mode == "lexical" and needs_retrieval:
-        index = build_inverted_index(corpus)
-    if retrieval_cfg.mode == "dense" and needs_retrieval:
-        doc_table, query_embedder = split_embeddings(table, corpus)
-
-    if config.get("set_sim") == "table":
-        if table is None:
-            raise DataError("set_sim 'table' requires an embeddings file")
-        embedder: Embedder | None = table_embedder(table)
-    else:
-        embedder = None
+    res = load_resources(config)
 
     def worker(
         inst: ClarificationInstance,
     ) -> tuple[str, MetricReport | None, str | None]:
         try:
-            pool = build_pool(
-                retrieval_cfg, inst, index=index, table=doc_table,
-                query_embedder=query_embedder,
+            pool = res.pool_for(inst)
+            texts = resolve_texts(pool, res.corpus, inst)
+            clar = res.generator(
+                GeneratorRequest(inst.query, tuple(texts), res.max_facets, res.emit_question)
             )
-            texts = resolve_texts(pool, corpus, inst)
-            clar = generator(
-                GeneratorRequest(inst.query, tuple(texts), max_facets, emit_question)
-            )
-            report = evaluate_instance(clar.facets, inst.facets, embedder)
+            report = evaluate_instance(clar.facets, inst.facets, res.set_sim_embedder)
             return inst.id, report, None
         except ClarikitError as exc:
             return inst.id, None, str(exc)
 
     workers = parallelism if parallelism else (os.cpu_count() or 1)
-    if workers > 1 and len(instances) > 1:
+    if workers > 1 and len(res.instances) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(worker, instances))
+            results = list(pool_exec.map(worker, res.instances))
     else:
-        results = [worker(inst) for inst in instances]
+        results = [worker(inst) for inst in res.instances]
 
     per_instance = [(iid, rep) for iid, rep, _ in results if rep is not None]
     skips = [(iid, reason) for iid, _, reason in results if reason is not None]
     report = ExperimentReport(
-        config_hash=_config_hash(config),
-        seed=int(config["seed"]),
+        config_hash=_config_hash(res.config, res.paths),
+        seed=int(res.config["seed"]),
         mean=mean_report([rep for _, rep in per_instance]),
         per_instance=tuple(per_instance),
         evaluated_count=len(per_instance),
@@ -647,7 +690,7 @@ def run_experiment(
     )
 
     if write_outputs:
-        out_dir = Path(config["output_dir"])
+        out_dir = Path(res.config["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         atomic_write_json(out_dir / "report.json", report.to_dict())
         atomic_write_text(out_dir / "summary.csv", summary_csv_text(report))

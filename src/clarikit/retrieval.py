@@ -25,7 +25,14 @@ from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
-from .corpus import ClarificationInstance, Corpus, EmbeddingTable, normalize
+from .corpus import (
+    ClarificationInstance,
+    Corpus,
+    EmbeddingTable,
+    iter_jsonl,
+    normalize,
+    read_json_object,
+)
 from .errors import DataError
 
 __all__ = [
@@ -105,7 +112,7 @@ def build_inverted_index(corpus: Corpus) -> InvertedIndex:
         postings={t: tuple(pl) for t, pl in postings.items()},
         doc_lengths=tuple(lengths),
         doc_ids=tuple(d.id for d in corpus.docs),
-        avg_doc_len=corpus.stats.avg_doc_len,
+        avg_doc_len=sum(lengths) / len(lengths),
     )
 
 
@@ -585,10 +592,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     path = Path(path)
     if path.is_dir():
         path = path / "index.json"
-    if not path.exists():
-        raise DataError(f"index file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return index_from_dict(json.load(fh))
+    return index_from_dict(read_json_object(path, "index"))
 
 
 def pool_to_dict(pool: EvidencePool) -> dict:
@@ -632,18 +636,4 @@ def write_pools(pools: Sequence[EvidencePool], path: str | Path) -> None:
 
 
 def read_pools(path: str | Path) -> list[EvidencePool]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"pool file not found: {path}")
-    pools = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            pools.append(pool_from_dict(raw))
-    return pools
+    return [pool_from_dict(raw) for _, raw in iter_jsonl(path)]

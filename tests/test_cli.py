@@ -1,5 +1,6 @@
 """CLI: subcommand wiring, exit codes, atomic output, determinism."""
 
+import csv
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import make_planted
 from clarikit.cli import main
+from clarikit.corpus import load_corpus, normalize
 from clarikit.ioutils import atomic_write_text
 from clarikit.retrieval import read_pools
 
@@ -278,6 +280,46 @@ class TestHarnessCommands:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("n_evidence,")
         assert len(lines) == 3
+
+    def test_sweep_set_sim_matches_experiment(self, data, tmp_path):
+        # Truth facets with their two words swapped: the extractive generator
+        # emits them in corpus order, so no generated facet equals a truth
+        # facet and the indicator fallback would score Set-Sim 0.
+        inst_path = tmp_path / "swapped.jsonl"
+        truth = {
+            inst.id: [" ".join(reversed(f.split())) for f in inst.facets]
+            for inst in data["instances_list"]
+        }
+        write_jsonl(
+            inst_path,
+            [{"id": inst.id, "query": inst.query, "facets": truth[inst.id]}
+             for inst in data["instances_list"]],
+        )
+        # A vector for every facet the generator can emit and every truth
+        # facet; texts of equal length get cosine 1.
+        texts = {f for facets in truth.values() for f in facets}
+        for doc in load_corpus(data["corpus"]):
+            tokens = normalize(doc.text, drop_stopwords=True)
+            texts.update(tokens)
+            texts.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
+        emb_path = tmp_path / "facet_vectors.jsonl"
+        write_jsonl(emb_path, [{"id": t, "vector": [1.0, float(len(t))]} for t in sorted(texts)])
+        config = json.loads(data["config"].read_text())
+        config.update(instances=str(inst_path), embeddings=str(emb_path), set_sim="table")
+        config_path = tmp_path / "table.json"
+        config_path.write_text(json.dumps(config))
+
+        assert main(["experiment", "--config", str(config_path)]) == 0
+        mean = json.loads((tmp_path / "out" / "report.json").read_text())["mean"]
+        k = config["retrieval"]["k"]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config_path), "--n", str(k), "--out", str(out)]) == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert row["evaluated_count"] == str(len(data["instances_list"]))
+        assert row["exact_match_f1"] == "0.000000"
+        assert mean["set_sim_f1"] > 0.0
+        for col in ("set_sim_precision", "set_sim_recall", "set_sim_f1"):
+            assert float(row[col]) == pytest.approx(mean[col], abs=1e-6)
 
     def test_sweep_bad_n_is_usage_error(self, data, tmp_path):
         out = tmp_path / "sweep.csv"

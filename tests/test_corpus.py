@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from clarikit.corpus import (
     Corpus,
     Document,
-    compute_stats,
+    EmbeddingTable,
     load_corpus,
     load_embeddings,
     load_instances,
@@ -17,6 +17,7 @@ from clarikit.corpus import (
     stopwords,
 )
 from clarikit.errors import DataError
+from clarikit.retrieval import build_inverted_index
 
 
 class TestNormalize:
@@ -64,7 +65,7 @@ class TestLoadCorpus:
             ['{"id": "d1", "text": "hello world"}', '{"id": "d2", "text": "more text"}'],
         )
         corpus = load_corpus(path)
-        assert corpus.stats.doc_count == 2
+        assert len(corpus) == 2
         assert [d.id for d in corpus.docs] == ["d1", "d2"]
 
     def test_duplicate_id_names_line_and_id(self, tmp_path):
@@ -85,10 +86,10 @@ class TestLoadCorpus:
                 '{"id": "c", "text": "one two three four five six"}',
             ],
         )
-        corpus = load_corpus(path)
+        index = build_inverted_index(load_corpus(path))
         # (2 + 4 + 6) / 3 by hand
-        assert corpus.stats.avg_doc_len == 4.0
-        assert corpus.stats.total_token_count == 12
+        assert index.avg_doc_len == 4.0
+        assert sum(index.doc_lengths) == 12
 
     def test_malformed_line_names_line(self, tmp_path):
         path = self.write(tmp_path, ['{"id": "a", "text": "ok"}', "{not json"])
@@ -114,14 +115,6 @@ class TestLoadCorpus:
         out = tmp_path / "again.jsonl"
         save_corpus(corpus, out)
         assert load_corpus(out) == corpus
-
-    def test_stats_recompute_exactly(self, tmp_path):
-        path = self.write(
-            tmp_path,
-            ['{"id": "d1", "text": "a b c"}', '{"id": "d2", "text": "d! e?"}'],
-        )
-        corpus = load_corpus(path)
-        assert compute_stats(corpus.docs) == corpus.stats
 
 
 class TestLoadInstances:
@@ -199,11 +192,16 @@ class TestLoadEmbeddings:
         )
         with pytest.raises(DataError, match="line 2"):
             load_embeddings(path)
+        # The table constructor shares the loader's checks: no zero-length vectors.
+        with pytest.raises(DataError, match="empty"):
+            EmbeddingTable.from_dict({"a": []})
 
     def test_non_finite_rejected(self, tmp_path):
         path = self.write(tmp_path, ['{"id":"d1","vector":[1, Infinity]}'])
         with pytest.raises(DataError, match="non-finite"):
             load_embeddings(path)
+        with pytest.raises(DataError, match="non-finite"):
+            EmbeddingTable.from_dict({"d1": [1.0, float("inf")]})
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = self.write(

@@ -512,6 +512,25 @@ class TestRunExperiment:
         assert report.evaluated_count == 1
         assert report.per_instance[0][1].set_sim.f1 == 1.0
 
+    def test_config_hash_names_the_experiment_not_its_directory(self, tmp_path):
+        corpus = Corpus.from_docs([Document("d1", "cast and crew")])
+        instances = [ClarificationInstance(id="i1", query="penny", facets=("cast",))]
+        hashes = []
+        for name in ("a", "b"):
+            d = tmp_path / name
+            d.mkdir()
+            config = experiment_config(d, corpus, instances, {"alignment": "oracle", "k": 5})
+            config.update(corpus="corpus.jsonl", instances="instances.jsonl", output_dir="out")
+            (d / "config.json").write_text(json.dumps(config))
+            report = run_experiment(d / "config.json", write_outputs=False)
+            hashes.append(report.config_hash)
+        assert hashes[0] == hashes[1]
+        # One byte of the corpus changes the hash.
+        corpus_path = tmp_path / "b" / "corpus.jsonl"
+        corpus_path.write_text(corpus_path.read_text().replace("cast", "cost"))
+        report = run_experiment(tmp_path / "b" / "config.json", write_outputs=False)
+        assert report.config_hash != hashes[0]
+
     def test_config_validation_errors(self, tmp_path):
         corpus = Corpus.from_docs([Document("d1", "text here")])
         instances = [ClarificationInstance(id="i", query="q", facets=("a",))]

@@ -87,7 +87,8 @@ class TestInvertedIndex:
             for ordinal, tf in plist:
                 sums[ordinal] += tf
         assert tuple(sums) == index.doc_lengths
-        assert index.avg_doc_len == tiny_corpus.stats.avg_doc_len
+        lengths = [len(normalize(d.text)) for d in tiny_corpus.docs]
+        assert index.avg_doc_len == sum(lengths) / len(lengths)
 
 
 class TestBm25:
