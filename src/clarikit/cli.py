@@ -120,7 +120,8 @@ def build_parser() -> _Parser:
         "--parallelism",
         type=int,
         default=None,
-        help="worker count (default: hardware parallelism); results identical either way",
+        help="worker threads (default: the CPU count for a remote generator, "
+        "else 1); results identical either way",
     )
     p.set_defaults(func=cmd_experiment)
 
@@ -149,10 +150,10 @@ def cmd_index(args) -> int:
     save_index(index, out / "index.json" if not out.suffix else out)
     _emit(
         args,
-        f"indexed {index.doc_count} documents, {len(index.postings)} terms -> {args.out}",
+        f"indexed {index.doc_count} documents, {index.term_count} terms -> {args.out}",
         {
             "doc_count": index.doc_count,
-            "term_count": len(index.postings),
+            "term_count": index.term_count,
             "avg_doc_len": index.avg_doc_len,
             "out": str(args.out),
         },
@@ -174,11 +175,22 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_pool(args) -> int:
-    res = load_resources(args.config)
-    instances = load_instances(args.instances) if args.instances else res.instances
+    config: str | dict = args.config
+    if args.instances:
+        # Swap the override in before loading, so the config's own instances
+        # file is never read; its other inputs keep resolving against the
+        # config file's directory.
+        path = Path(args.config)
+        config = read_json_object(path, "config")
+        config = {
+            **config,
+            **{k: str(path.parent / config[k]) for k in ("corpus", "embeddings") if config.get(k)},
+            "instances": args.instances,
+        }
+    res = load_resources(config)
     pools = []
     skipped = []
-    for inst in instances:
+    for inst in res.instances:
         try:
             pools.append(res.pool_for(inst))
         except DataError as exc:

@@ -653,6 +653,11 @@ def run_experiment(
     instances are processed as independent work units and reassembled in
     input order.  Outputs (report.json, summary.csv in output_dir) are
     written atomically, and only after the whole run succeeds.
+
+    ``parallelism`` is the number of worker threads.  By default it is the
+    CPU count for a remote generator and 1 otherwise: threads overlap only
+    the remote generator's network waits, while the rest of the work is
+    pure Python and holds the interpreter lock.
     """
     res = load_resources(config)
 
@@ -670,7 +675,10 @@ def run_experiment(
         except ClarikitError as exc:
             return inst.id, None, str(exc)
 
-    workers = parallelism if parallelism else (os.cpu_count() or 1)
+    workers = parallelism
+    if not workers:
+        remote = res.config["generator"]["kind"] == "remote"
+        workers = (os.cpu_count() or 1) if remote else 1
     if workers > 1 and len(res.instances) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
             results = list(pool_exec.map(worker, res.instances))

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -77,40 +79,115 @@ class ScoredDoc:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvertedIndex:
-    """Term postings over a corpus, tokenized with the shared normalizer."""
+    """Term postings over a corpus, tokenized with the shared normalizer.
 
-    postings: dict[str, tuple[tuple[int, int], ...]]  # term -> ((ordinal, tf), ...)
-    doc_lengths: tuple[int, ...]
+    Postings are stored once, as two CSR (compressed sparse row) layouts
+    of the same (term, document, tf) triples:
+
+    * term-major: the postings of term id ``t`` are
+      ``ordinals[offsets[t]:offsets[t + 1]]`` with their ``tfs``, in
+      ascending document ordinal;
+    * doc-major (the forward index): the terms of document ordinal ``d``
+      are ``doc_terms[doc_offsets[d]:doc_offsets[d + 1]]`` with their
+      ``doc_tfs``, in ascending term id.
+
+    ``term_ids`` maps each term to its id.  Two indexes are equal when they
+    hold the same documents, lengths and postings, whatever their term ids.
+    """
+
+    term_ids: dict[str, int]
+    offsets: np.ndarray
+    ordinals: np.ndarray
+    tfs: np.ndarray
+    doc_offsets: np.ndarray
+    doc_terms: np.ndarray
+    doc_tfs: np.ndarray
+    doc_lengths: np.ndarray
     doc_ids: tuple[str, ...]
     avg_doc_len: float
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
 
+    @property
+    def term_count(self) -> int:
+        return len(self.term_ids)
+
     @cached_property
     def ordinal_of(self) -> dict[str, int]:
         return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+
+    def posting(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(ordinals, tfs) of one term; empty arrays for an unknown term."""
+        t = self.term_ids.get(term)
+        if t is None:
+            return self.ordinals[:0], self.tfs[:0]
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        return self.ordinals[lo:hi], self.tfs[lo:hi]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InvertedIndex):
+            return NotImplemented
+        return index_to_dict(self) == index_to_dict(other)
+
+
+def _transpose(
+    offsets: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR of the transposed matrix: (offsets, row ids, values) per column.
+
+    The sort is stable, so within each column the rows stay ascending.
+    """
+    rows = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
+    order = np.argsort(cols, kind="stable")
+    t_offsets = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=t_offsets[1:])
+    return t_offsets, rows[order], vals[order]
 
 
 def build_inverted_index(corpus: Corpus) -> InvertedIndex:
     if len(corpus) == 0:
         raise DataError("cannot index an empty corpus")
-    postings: dict[str, list[tuple[int, int]]] = {}
+    term_ids: dict[str, int] = {}  # ids in first-seen order
+    row_terms = array("i")
+    row_tfs = array("i")
+    row_sizes = array("q")
     lengths: list[int] = []
-    for ordinal, doc in enumerate(corpus.docs):
+    for doc in corpus.docs:
         tokens = normalize(doc.text)
         lengths.append(len(tokens))
-        counts: dict[str, int] = {}
-        for tok in tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-        for term, tf in counts.items():
-            postings.setdefault(term, []).append((ordinal, tf))
+        counts = Counter(tokens)
+        row_terms.extend([term_ids.setdefault(t, len(term_ids)) for t in counts])
+        row_tfs.extend(counts.values())
+        row_sizes.append(len(counts))
+    row_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(row_sizes, dtype=np.int64), out=row_offsets[1:])
+    # Rows are in first-seen order; the round trip through the term-major
+    # layout leaves each document's terms in ascending id.
+    offsets, ordinals, tfs = _transpose(
+        row_offsets,
+        np.frombuffer(row_terms, dtype=np.int32),
+        np.frombuffer(row_tfs, dtype=np.int32),
+        len(term_ids),
+    )
+    doc_offsets, doc_terms, doc_tfs = _transpose(offsets, ordinals, tfs, len(lengths))
     return InvertedIndex(
-        postings={t: tuple(pl) for t, pl in postings.items()},
-        doc_lengths=tuple(lengths),
+        term_ids=term_ids,
+        offsets=offsets,
+        ordinals=ordinals,
+        tfs=tfs,
+        doc_offsets=doc_offsets,
+        doc_terms=doc_terms,
+        doc_tfs=doc_tfs,
+        doc_lengths=np.array(lengths, dtype=np.int64),
         doc_ids=tuple(d.id for d in corpus.docs),
         avg_doc_len=sum(lengths) / len(lengths),
     )
@@ -140,20 +217,34 @@ def bm25_retrieve(
     terms = normalize(query)
     if not terms:
         raise DataError("empty query")
-    scores: dict[int, float] = {}
     n_docs = index.doc_count
+    scores = np.zeros(n_docs, dtype=np.float64)
+    matched = np.zeros(n_docs, dtype=bool)
     for term in terms:
-        plist = index.postings.get(term)
-        if not plist:
+        ords, tf = index.posting(term)
+        if not len(ords):
             continue
-        idf = _idf(n_docs, len(plist))
-        for ordinal, tf in plist:
-            norm = tf + k1 * (1.0 - b + b * index.doc_lengths[ordinal] / index.avg_doc_len)
-            scores[ordinal] = scores.get(ordinal, 0.0) + idf * tf * (k1 + 1.0) / norm
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], index.doc_ids[item[0]]))
+        # The scalar math.log and this exact operation order keep every
+        # score bit-identical to the per-posting formula above.
+        idf = _idf(n_docs, len(ords))
+        norm = tf + k1 * (1.0 - b + b * index.doc_lengths[ords] / index.avg_doc_len)
+        scores[ords] += idf * tf * (k1 + 1.0) / norm
+        matched[ords] = True
+    hits = np.flatnonzero(matched)
+    hit_scores = scores[hits]
+    if len(hits) > k:
+        # Keep every document tied with the k-th score, so that the exact
+        # (-score, doc id) order below decides which of them make the cut.
+        kth = hit_scores[np.argpartition(-hit_scores, k - 1)[k - 1]]
+        keep = hit_scores >= kth
+        hits, hit_scores = hits[keep], hit_scores[keep]
+    ranked = sorted(
+        zip(hit_scores.tolist(), hits.tolist()),
+        key=lambda item: (-item[0], index.doc_ids[item[1]]),
+    )
     return [
         ScoredDoc(doc_id=index.doc_ids[ordinal], score=score, rank=rank)
-        for rank, (ordinal, score) in enumerate(ranked[:k], start=1)
+        for rank, (score, ordinal) in enumerate(ranked[:k], start=1)
     ]
 
 
@@ -451,15 +542,15 @@ def mmr_rerank(
 
     selected: list[int] = []
     remaining = list(range(len(candidates)))
+    # penalty[pos]: max similarity of candidate pos to the selected set,
+    # updated with one sim call per remaining candidate after each pick.
+    penalty = [-math.inf] * len(candidates)
     while len(selected) < k:
         best_pos = None
         best_val = -math.inf
         for pos in remaining:
             if selected:
-                penalty = max(
-                    sim(candidates[pos].doc_id, candidates[s].doc_id) for s in selected
-                )
-                value = lam * rel[pos] - (1.0 - lam) * penalty
+                value = lam * rel[pos] - (1.0 - lam) * penalty[pos]
             else:
                 value = rel[pos]
             if value > best_val:
@@ -467,6 +558,10 @@ def mmr_rerank(
                 best_pos = pos
         selected.append(best_pos)
         remaining.remove(best_pos)
+        if len(selected) < k:
+            chosen = candidates[best_pos].doc_id
+            for pos in remaining:
+                penalty[pos] = max(penalty[pos], sim(candidates[pos].doc_id, chosen))
     return [
         ScoredDoc(doc_id=candidates[pos].doc_id, score=candidates[pos].score, rank=i + 1)
         for i, pos in enumerate(selected)
@@ -496,26 +591,35 @@ def tfidf_similarity(index: InvertedIndex) -> Callable[[str, str], float]:
     """Cosine over tf-idf document vectors derived from the inverted index.
 
     Fallback similarity for MMR on lexical-only runs; idf matches the
-    lexical scorer's formula.
+    lexical scorer's formula.  Vectors are built on first use from the
+    forward index, so only the documents actually compared cost anything.
     """
     n_docs = index.doc_count
-    # Invert postings once instead of scanning per document.
-    doc_terms: dict[int, dict[str, float]] = {}
-    for term, plist in index.postings.items():
-        idf = _idf(n_docs, len(plist))
-        for ordinal, tf in plist:
-            doc_terms.setdefault(ordinal, {})[term] = tf * idf
+    cache: dict[str, tuple[dict[int, float], float]] = {}
+
+    def vector(doc_id: str) -> tuple[dict[int, float], float]:
+        hit = cache.get(doc_id)
+        if hit is None:
+            ordinal = index.ordinal_of[doc_id]
+            lo, hi = index.doc_offsets[ordinal], index.doc_offsets[ordinal + 1]
+            terms = index.doc_terms[lo:hi]
+            dfs = index.offsets[terms + 1] - index.offsets[terms]
+            vec = {
+                t: tf * _idf(n_docs, df)
+                for t, tf, df in zip(
+                    terms.tolist(), index.doc_tfs[lo:hi].tolist(), dfs.tolist()
+                )
+            }
+            hit = cache[doc_id] = (vec, math.sqrt(sum(w * w for w in vec.values())))
+        return hit
 
     def sim(a: str, b: str) -> float:
-        va = doc_terms.get(index.ordinal_of[a], {})
-        vb = doc_terms.get(index.ordinal_of[b], {})
+        (va, na), (vb, nb) = vector(a), vector(b)
         if not va or not vb:
             return 0.0
         if len(vb) < len(va):
             va, vb = vb, va
         dot = sum(w * vb[t] for t, w in va.items() if t in vb)
-        na = math.sqrt(sum(w * w for w in va.values()))
-        nb = math.sqrt(sum(w * w for w in vb.values()))
         return dot / (na * nb)
 
     return sim
@@ -556,30 +660,61 @@ def resolve_texts(
 
 
 def index_to_dict(index: InvertedIndex) -> dict:
+    postings = {}
+    for term in sorted(index.term_ids):
+        ordinals, tfs = index.posting(term)
+        postings[term] = [list(p) for p in zip(ordinals.tolist(), tfs.tolist())]
     return {
         "doc_ids": list(index.doc_ids),
-        "doc_lengths": list(index.doc_lengths),
+        "doc_lengths": index.doc_lengths.tolist(),
         "avg_doc_len": index.avg_doc_len,
-        "postings": {
-            term: [[o, tf] for o, tf in plist]
-            for term, plist in sorted(index.postings.items())
-        },
+        "postings": postings,
     }
 
 
 def index_from_dict(raw: dict) -> InvertedIndex:
     try:
-        return InvertedIndex(
-            postings={
-                term: tuple((int(o), int(tf)) for o, tf in plist)
-                for term, plist in raw["postings"].items()
-            },
-            doc_lengths=tuple(int(x) for x in raw["doc_lengths"]),
-            doc_ids=tuple(raw["doc_ids"]),
-            avg_doc_len=float(raw["avg_doc_len"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        doc_ids = tuple(raw["doc_ids"])
+        lengths = [int(x) for x in raw["doc_lengths"]]
+        avg_doc_len = float(raw["avg_doc_len"])
+        term_ids: dict[str, int] = {}
+        sizes, ordinals, tfs = [], array("i"), array("i")
+        for term, plist in raw["postings"].items():
+            term_ids[term] = len(term_ids)
+            sizes.append(len(plist))
+            for o, tf in plist:
+                ordinals.append(int(o))
+                tfs.append(int(tf))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed index file: {exc}") from exc
+    if len(lengths) != len(doc_ids):
+        raise DataError(
+            f"malformed index file: {len(lengths)} doc lengths for {len(doc_ids)} documents"
+        )
+    ordinal_arr = np.frombuffer(ordinals, dtype=np.int32)
+    if len(ordinal_arr) and not 0 <= ordinal_arr.min() <= ordinal_arr.max() < len(doc_ids):
+        raise DataError("malformed index file: posting ordinal out of range")
+    same_term = np.diff(np.repeat(np.arange(len(sizes)), sizes)) == 0
+    if np.any(same_term & (np.diff(ordinal_arr) <= 0)):
+        raise DataError("malformed index file: a term's ordinals are not strictly ascending")
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    tf_arr = np.frombuffer(tfs, dtype=np.int32)
+    doc_offsets, doc_terms, doc_tfs = _transpose(
+        offsets, ordinal_arr, tf_arr, len(doc_ids)
+    )
+    return InvertedIndex(
+        term_ids=term_ids,
+        offsets=offsets,
+        ordinals=ordinal_arr,
+        tfs=tf_arr,
+        doc_offsets=doc_offsets,
+        doc_terms=doc_terms,
+        doc_tfs=doc_tfs,
+        doc_lengths=np.array(lengths, dtype=np.int64),
+        doc_ids=doc_ids,
+        avg_doc_len=avg_doc_len,
+    )
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

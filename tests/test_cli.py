@@ -121,6 +121,28 @@ class TestIndexRetrieve:
             main(["retrieve", "--index", str(idx_dir), "--query", "!!!", "--k", "3"]) == 2
         )
 
+    def test_index_file_format_is_pinned(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(
+            corpus,
+            [
+                {"id": "b", "text": "Cat sat on the mat."},
+                {"id": "a", "text": "the cat, the CAT!"},
+                {"id": "c", "text": "dog"},
+            ],
+        )
+        out = tmp_path / "idx"
+        assert main(["index", "--corpus", str(corpus), "--out", str(out), "--json"]) == 0
+        assert (out / "index.json").read_text(encoding="utf-8") == (
+            '{"avg_doc_len": 3.3333333333333335, "doc_ids": ["b", "a", "c"], '
+            '"doc_lengths": [5, 4, 1], "postings": {"cat": [[0, 1], [1, 2]], '
+            '"dog": [[2, 1]], "mat": [[0, 1]], "on": [[0, 1]], "sat": [[0, 1]], '
+            '"the": [[0, 1], [1, 2]]}}'
+        )
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["term_count"] == 6
+        assert summary["doc_count"] == 3
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert (
             main(["index", "--corpus", str(tmp_path / "none.jsonl"), "--out", str(tmp_path)])
@@ -135,6 +157,28 @@ class TestPool:
         pools = read_pools(out)
         assert len(pools) == 6
         assert all(len(p.entries) <= 5 for p in pools)
+
+    @pytest.mark.parametrize("own_instances", ["missing", "malformed"])
+    def test_instances_override_never_reads_config_instances(
+        self, data, tmp_path, own_instances
+    ):
+        # The config sits in its own directory with a relative corpus path;
+        # its instances file is missing or malformed, the override is valid.
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        (cfg_dir / "corpus.jsonl").write_bytes(data["corpus"].read_bytes())
+        if own_instances == "malformed":
+            (cfg_dir / "instances.jsonl").write_text("{not json\n", encoding="utf-8")
+        config = json.loads(data["config"].read_text())
+        config.update(corpus="corpus.jsonl", instances="instances.jsonl")
+        (cfg_dir / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "pools.jsonl"
+        argv = ["pool", "--config", str(cfg_dir / "config.json"), "--out", str(out)]
+        assert main(argv) == 2
+        assert main(argv + ["--instances", str(data["instances"])]) == 0
+        expected = tmp_path / "expected.jsonl"
+        assert main(["pool", "--config", str(data["config"]), "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestEvaluate:

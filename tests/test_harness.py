@@ -403,6 +403,35 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "summary.csv").read_bytes() == first
         assert (tmp_path / "out" / "report.json").read_bytes() == first_report
 
+    @pytest.mark.parametrize("kind, workers", [("extractive", None), ("remote", 3)])
+    def test_default_parallelism_threads_only_remote(
+        self, planted, tmp_path, monkeypatch, mock_endpoint, kind, workers
+    ):
+        import clarikit.harness as harness
+        from conftest import endpoint_url
+
+        started = []
+
+        class RecordingExecutor(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        mock_endpoint.behavior = lambda req: (200, {"question": None, "facets": ["x"]}, 0.0)
+        generator = {"kind": kind, "endpoint": endpoint_url(mock_endpoint)}
+        config = experiment_config(
+            tmp_path,
+            planted["corpus"],
+            planted["instances"],
+            {"alignment": "oracle", "k": 5},
+            generator=generator,
+        )
+        report = run_experiment(config)
+        assert report.evaluated_count == len(planted["instances"])
+        assert started == ([] if workers is None else [workers])
+
     def test_missing_corpus_fails_fast_without_output(self, tmp_path):
         config = {
             "corpus": str(tmp_path / "nope.jsonl"),

@@ -1,6 +1,10 @@
 """Index construction, BM25/dense ranking, interleaving, pools, and MMR."""
 
+import json
 import math
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +21,14 @@ from clarikit.retrieval import (
     build_pool,
     dense_retrieve,
     embedding_similarity,
+    index_to_dict,
     interleave_round_robin,
+    load_index,
     mmr_rerank,
     pool_from_dict,
     pool_to_dict,
     resolve_texts,
+    save_index,
     tfidf_similarity,
 )
 
@@ -57,20 +64,58 @@ def bm25_oracle(texts: dict[str, str], query: str, k1: float, b: float) -> dict[
     return scores
 
 
+def tfidf_cosine_oracle(texts: dict[str, str], a: str, b: str) -> float:
+    """Cosine of two tf-idf vectors built straight from ``normalize``."""
+    counts = {doc_id: Counter(normalize(text)) for doc_id, text in texts.items()}
+    n_docs = len(counts)
+    df = Counter(term for c in counts.values() for term in c)
+
+    def vector(doc_id: str) -> dict[str, float]:
+        return {
+            term: tf * math.log(1 + (n_docs - df[term] + 0.5) / (df[term] + 0.5))
+            for term, tf in counts[doc_id].items()
+        }
+
+    va, vb = vector(a), vector(b)
+    if not va or not vb:
+        return 0.0
+    dot = sum(w * vb.get(term, 0.0) for term, w in va.items())
+    norm_a = math.sqrt(sum(w * w for w in va.values()))
+    norm_b = math.sqrt(sum(w * w for w in vb.values()))
+    return dot / (norm_a * norm_b)
+
+
+# Small corpora over a 3-5 word vocabulary, so that many documents tie.
+# Ids run against ordinal order, so ties must break on the id itself.
+_WORDS = ("ant", "bee", "cat", "dog", "eel")
+small_corpora = st.integers(3, 5).flatmap(
+    lambda v: st.lists(
+        st.lists(st.sampled_from(_WORDS[:v]), min_size=1, max_size=6).map(" ".join),
+        min_size=1,
+        max_size=8,
+    ).map(lambda docs: {f"doc{len(docs) - i}": text for i, text in enumerate(docs)})
+)
+
+
 def corpus_of(texts: dict[str, str]) -> Corpus:
     return Corpus.from_docs([Document(i, t) for i, t in texts.items()])
+
+
+def postings_of(index, term: str) -> list[tuple[int, int]]:
+    ordinals, tfs = index.posting(term)
+    return list(zip(ordinals.tolist(), tfs.tolist()))
 
 
 class TestInvertedIndex:
     def test_single_doc_postings(self):
         index = build_inverted_index(corpus_of({"d": "a b a"}))
-        assert index.postings["a"] == ((0, 2),)
-        assert index.postings["b"] == ((0, 1),)
-        assert index.doc_lengths == (3,)
+        assert postings_of(index, "a") == [(0, 2)]
+        assert postings_of(index, "b") == [(0, 1)]
+        assert index.doc_lengths.tolist() == [3]
 
     def test_shared_term_two_entries(self):
         index = build_inverted_index(corpus_of({"d1": "x y", "d2": "x z"}))
-        assert len(index.postings["x"]) == 2
+        assert len(postings_of(index, "x")) == 2
 
     def test_deterministic_rebuild(self):
         corpus = corpus_of({"d1": "a b", "d2": "b c"})
@@ -83,10 +128,10 @@ class TestInvertedIndex:
     def test_tf_sums_equal_doc_lengths(self, tiny_corpus):
         index = build_inverted_index(tiny_corpus)
         sums = [0] * index.doc_count
-        for plist in index.postings.values():
-            for ordinal, tf in plist:
+        for term in index.term_ids:
+            for ordinal, tf in postings_of(index, term):
                 sums[ordinal] += tf
-        assert tuple(sums) == index.doc_lengths
+        assert sums == index.doc_lengths.tolist()
         lengths = [len(normalize(d.text)) for d in tiny_corpus.docs]
         assert index.avg_doc_len == sum(lengths) / len(lengths)
 
@@ -160,6 +205,30 @@ class TestBm25:
     def test_deterministic(self, tiny_corpus):
         index = build_inverted_index(tiny_corpus)
         assert bm25_retrieve(index, "penny", k=3) == bm25_retrieve(index, "penny", k=3)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        texts=small_corpora,
+        query=st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map(" ".join),
+        k1=st.floats(0.0, 3.0),
+        b=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    def test_matches_oracle_on_random_small_corpora(self, texts, query, k1, b, data):
+        oracle = bm25_oracle(texts, query, k1, b)
+        k = data.draw(st.integers(1, len(oracle) + 2), label="k")
+        expected = sorted(oracle.items(), key=lambda item: (-item[1], item[0]))[:k]
+        index = build_inverted_index(corpus_of(texts))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(index, Path(tmp) / "index.json")
+            loaded = load_index(tmp)
+        for idx in (index, loaded):
+            got = bm25_retrieve(idx, query, k, k1=k1, b=b)
+            assert [(r.doc_id, r.rank) for r in got] == [
+                (doc_id, rank) for rank, (doc_id, _) in enumerate(expected, start=1)
+            ]
+            for r, (_, score) in zip(got, expected):
+                assert abs(r.score - score) <= 1e-12
 
 
 class TestDenseRetrieve:
@@ -365,6 +434,22 @@ class TestBuildPool:
         assert load_index(tmp_path / "index.json") == index
         assert load_index(tmp_path) == index  # directory form
 
+    @pytest.mark.parametrize(
+        "plist, problem",
+        [
+            ([[-1, 1]], "out of range"),
+            ([[3, 1]], "out of range"),
+            ([[1, 1], [1, 1]], "not strictly ascending"),
+            ([[1, 1], [0, 2]], "not strictly ascending"),
+        ],
+    )
+    def test_index_file_bad_ordinals_rejected(self, tiny_corpus, tmp_path, plist, problem):
+        raw = index_to_dict(build_inverted_index(tiny_corpus))
+        raw["postings"]["penny"] = plist
+        (tmp_path / "index.json").write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(DataError, match=problem):
+            load_index(tmp_path)
+
 
 class TestMmr:
     @staticmethod
@@ -426,6 +511,33 @@ class TestMmr:
                 for k in (1, 2, 3):
                     got = [d.doc_id for d in mmr_rerank(candidates, lam, k, sim)]
                     assert got == brute_force_mmr(candidates, lam, k, sim)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n=st.integers(1, 8),
+        data=st.data(),
+        lam=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    def test_greedy_matches_brute_force_one_sim_call_per_remaining(self, n, data, lam):
+        # Coarse scores and similarities force ties on value; after each pick
+        # but the last, every remaining candidate is compared once with it.
+        k = data.draw(st.integers(1, n), label="k")
+        scores = data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))
+        grid = data.draw(
+            st.lists(st.sampled_from([-0.5, 0.0, 0.5, 1.0]), min_size=n * n, max_size=n * n)
+        )
+        ids = [f"c{i}" for i in range(n)]
+        sim = self.matrix_sim([grid[i * n : (i + 1) * n] for i in range(n)], ids)
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return sim(a, b)
+
+        candidates = [ScoredDoc(ids[i], scores[i], i + 1) for i in range(n)]
+        got = [d.doc_id for d in mmr_rerank(candidates, lam, k, counted)]
+        assert got == brute_force_mmr(candidates, lam, k, sim)
+        assert len(calls) == sum(n - s for s in range(1, k))
 
     def test_mmr_inside_build_pool(self, planted):
         from dataclasses import replace
@@ -499,6 +611,14 @@ class TestSimilarities:
         assert sim("d1", "d1") == pytest.approx(1.0)
         assert sim("d1", "d3") == 0.0
         assert 0.0 < sim("d1", "d2") < 1.0
+
+    @settings(deadline=None, max_examples=100)
+    @given(texts=small_corpora)
+    def test_tfidf_similarity_matches_brute_force_cosine(self, texts):
+        sim = tfidf_similarity(build_inverted_index(corpus_of(texts)))
+        for a in texts:
+            for b in texts:
+                assert sim(a, b) == pytest.approx(tfidf_cosine_oracle(texts, a, b), abs=1e-12)
 
 
 class TestPoolValidation:
