@@ -10,8 +10,6 @@ the one-line summary.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -20,6 +18,7 @@ from . import retrieval
 from .corpus import iter_generated, load_corpus, load_embeddings, load_instances, read_json_object
 from .errors import DataError, GeneratorError
 from .harness import (
+    _metric_csv_text,
     alignment_stats,
     evidence_size_sweep,
     load_experiment_config,
@@ -233,34 +232,23 @@ def cmd_evaluate(args) -> int:
             buffered[gid] = facets
         raise DataError(f"no generated facets for instance id {inst_id!r}")
 
-    rows = []
-    reports = []
-    for inst in truth:
-        facets = facets_for(inst.id)
-        report = evaluate_instance(facets, list(inst.facets), embedder)
-        reports.append(report)
-        rows.append({"instance_id": inst.id, **report.to_flat_dict()})
-
-    mean = mean_report(reports)
-    lines = [json.dumps(row, sort_keys=True) for row in rows]
-    lines.append(json.dumps({"instance_id": "__mean__", **mean.to_flat_dict()}, sort_keys=True))
+    rows = [
+        (inst.id, evaluate_instance(facets_for(inst.id), list(inst.facets), embedder))
+        for inst in truth
+    ]
+    mean = mean_report([report for _, report in rows])
+    rows.append(("__mean__", mean))
+    lines = [json.dumps({"instance_id": i, **r.to_flat_dict()}, sort_keys=True) for i, r in rows]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
+    csv_text = _metric_csv_text(("instance_id",), [((i,), r) for i, r in rows])
+    atomic_write_text(Path(args.out).with_suffix(".csv"), csv_text)
 
-    csv_path = Path(args.out).with_suffix(".csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["instance_id", *METRIC_COLUMNS])
-    for row in rows:
-        writer.writerow([row["instance_id"], *[f"{row[c]:.6f}" for c in METRIC_COLUMNS]])
     flat = mean.to_flat_dict()
-    writer.writerow(["__mean__", *[f"{flat[c]:.6f}" for c in METRIC_COLUMNS]])
-    atomic_write_text(csv_path, buf.getvalue())
-
     _emit(
         args,
-        f"evaluated {len(rows)} instances -> {args.out} "
+        f"evaluated {len(truth)} instances -> {args.out} "
         f"(exact_match_f1={flat['exact_match_f1']:.4f})",
-        {"evaluated": len(rows), "out": str(args.out), "mean": flat},
+        {"evaluated": len(truth), "out": str(args.out), "mean": flat},
     )
     return 0
 

@@ -609,37 +609,28 @@ def load_resources(config: dict | str | Path) -> Resources:
     )
 
 
-def summary_csv_text(report: ExperimentReport) -> str:
+def _metric_csv_text(head: Sequence[str], rows: Sequence[tuple[Sequence, MetricReport]]) -> str:
+    """CSV with the ``head`` columns, then METRIC_COLUMNS at six decimals."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["config_hash", "evaluated_count", "skipped_count", *METRIC_COLUMNS])
-    flat = report.mean.to_flat_dict()
-    writer.writerow(
-        [
-            report.config_hash,
-            report.evaluated_count,
-            report.skipped_count,
-            *[f"{flat[col]:.6f}" for col in METRIC_COLUMNS],
-        ]
-    )
+    writer.writerow([*head, *METRIC_COLUMNS])
+    for lead, report in rows:
+        flat = report.to_flat_dict()
+        writer.writerow([*lead, *[f"{flat[col]:.6f}" for col in METRIC_COLUMNS]])
     return buf.getvalue()
+
+
+def summary_csv_text(report: ExperimentReport) -> str:
+    head = ("config_hash", "evaluated_count", "skipped_count")
+    lead = (report.config_hash, report.evaluated_count, report.skipped_count)
+    return _metric_csv_text(head, [(lead, report.mean)])
 
 
 def sweep_csv_text(report: SweepReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n_evidence", "evaluated_count", "skipped_count", *METRIC_COLUMNS])
-    for point in report.points:
-        flat = point.report.to_flat_dict()
-        writer.writerow(
-            [
-                point.n_evidence,
-                point.evaluated_count,
-                point.skipped_count,
-                *[f"{flat[col]:.6f}" for col in METRIC_COLUMNS],
-            ]
-        )
-    return buf.getvalue()
+    return _metric_csv_text(
+        ("n_evidence", "evaluated_count", "skipped_count"),
+        [((p.n_evidence, p.evaluated_count, p.skipped_count), p.report) for p in report.points],
+    )
 
 
 def run_experiment(

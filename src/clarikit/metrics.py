@@ -10,16 +10,30 @@ normalization (see :func:`clarikit.corpus.normalize`):
 * set_sim       - embedding cosine averaged over the same best-matching pairs,
                   with a pluggable embedder
 
-Pair matching maximizes total BLEU-1 over an optimal assignment; ties are
-broken toward the lexicographically smallest (generated, truth) index
-sequence so results are fully deterministic.
+All four read one comparison: each facet is tokenized once, one table holds
+BLEU-1..4 per (generated, truth) pair, and one assignment is solved on its
+BLEU-1 column.  A punctuation-only facet normalizes to "" and earns no
+exact-match and no indicator Set-Sim credit.
+
+Pair matching forms min(|F|, |G|) pairs maximizing total BLEU-1.  A total
+is the math.fsum of its scores (the exact sum rounded once), totals are
+compared after rounding, and ties go to the lexicographically smallest
+(generated, truth) index sequence.  The rounding matters: for
+['alpha beta gamma', 'alpha beta cast'] vs ['gamma', 'alpha beta gamma'],
+(0,0),(1,1) sums to 1 - 2**-54, which rounds to 1.0, ties with (0,1),(1,0)
+at exactly 1.0 and wins.  The matcher is an exact dynamic program over
+(generated row, set of used truth columns) with at most
+|F| * sum(C(|G|, k) for k <= min(|F|, |G|)) states: still exponential
+when both lists are long.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,45 +117,14 @@ class MetricReport:
     set_bleu: tuple[float, float, float, float]
 
     def to_flat_dict(self) -> dict[str, float]:
-        return {
-            "term_overlap_precision": self.term_overlap.precision,
-            "term_overlap_recall": self.term_overlap.recall,
-            "term_overlap_f1": self.term_overlap.f1,
-            "exact_match_precision": self.exact_match.precision,
-            "exact_match_recall": self.exact_match.recall,
-            "exact_match_f1": self.exact_match.f1,
-            "set_sim_precision": self.set_sim.precision,
-            "set_sim_recall": self.set_sim.recall,
-            "set_sim_f1": self.set_sim.f1,
-            "set_bleu1": self.set_bleu[0],
-            "set_bleu2": self.set_bleu[1],
-            "set_bleu3": self.set_bleu[2],
-            "set_bleu4": self.set_bleu[3],
-        }
+        prfs = (self.term_overlap, self.exact_match, self.set_sim)
+        values = [x for prf in prfs for x in (prf.precision, prf.recall, prf.f1)]
+        return dict(zip(METRIC_COLUMNS, [*values, *self.set_bleu]))
 
     @classmethod
     def from_flat_dict(cls, flat: dict[str, float]) -> "MetricReport":
-        return cls(
-            term_overlap=PRF(
-                flat["term_overlap_precision"],
-                flat["term_overlap_recall"],
-                flat["term_overlap_f1"],
-            ),
-            exact_match=PRF(
-                flat["exact_match_precision"],
-                flat["exact_match_recall"],
-                flat["exact_match_f1"],
-            ),
-            set_sim=PRF(
-                flat["set_sim_precision"], flat["set_sim_recall"], flat["set_sim_f1"]
-            ),
-            set_bleu=(
-                flat["set_bleu1"],
-                flat["set_bleu2"],
-                flat["set_bleu3"],
-                flat["set_bleu4"],
-            ),
-        )
+        v = [flat[col] for col in METRIC_COLUMNS]
+        return cls(PRF(*v[0:3]), PRF(*v[3:6]), PRF(*v[6:9]), (v[9], v[10], v[11], v[12]))
 
 
 def normalized_facet(facet: str) -> str:
@@ -162,46 +145,183 @@ def cosine(u: "np.ndarray | Sequence[float]", v: "np.ndarray | Sequence[float]")
     return float(np.dot(a, b) / (na * nb))
 
 
-def _require_nonempty(generated: Sequence[str], truth: Sequence[str]) -> None:
-    if not generated:
-        raise DataError("generated facet list is empty")
-    if not truth:
-        raise DataError("truth facet list is empty")
+_NO_BLEU = (0.0, 0.0, 0.0, 0.0)
 
 
-def _token_union(facets: Sequence[str], side: str) -> set[str]:
-    tokens: set[str] = set()
-    for facet in facets:
-        tokens.update(normalize(facet))
-    if not tokens:
-        raise DataError(f"{side} facets normalize to an empty token set")
-    return tokens
+class _Facet:
+    """One facet, tokenized once: its tokens, canonical text and n-gram counts."""
+
+    def __init__(self, raw: str):
+        self.raw = raw
+        self.tokens = normalize(raw)
+        self.text = " ".join(self.tokens)
+
+    @cached_property
+    def grams(self) -> list[Counter]:
+        tokens = self.tokens
+        return [Counter(zip(*(tokens[k:] for k in range(order)))) for order in range(1, 5)]
+
+
+def _bleu(cand: _Facet, ref: _Facet) -> tuple[float, float, float, float]:
+    """Sentence BLEU of orders 1..4 in one pass (see :func:`bleu_n`)."""
+    c, r = len(cand.tokens), len(ref.tokens)
+    if not c:
+        return _NO_BLEU
+    bp = math.exp(1 - r / c) if c < r else 1.0
+    scores = []
+    log_sum = 0.0
+    for order, (grams, ref_grams) in enumerate(zip(cand.grams, ref.grams), 1):
+        matches = sum(min(count, ref_grams[gram]) for gram, count in grams.items())
+        if order == 1:
+            if matches == 0:
+                return _NO_BLEU
+            precision = matches / c
+        else:
+            precision = (matches + 1) / (max(c - order + 1, 1) + 1)
+        log_sum += math.log(precision)
+        scores.append(bp * math.exp(log_sum / order))
+    return (scores[0], scores[1], scores[2], scores[3])
+
+
+def _best_pairs(score: list[list[float]]) -> list[tuple[int, int]]:
+    """Lexicographically smallest min(m, n) pairs with the largest fsum total.
+
+    Scores become integers over one power-of-two denominator, so sums are
+    exact; dividing a sum by that denominator rounds it once, as math.fsum
+    does. ``best[i][mask]`` is the largest sum rows i.. can still add when
+    the truth columns in ``mask`` are taken, kept only for states that can
+    still complete all pairs. The walk then takes, row by row, the first
+    move whose best rounded total equals the optimum: free columns
+    ascending, then leaving the row unmatched.
+    """
+    m, n = len(score), len(score[0])
+    n_pairs = min(m, n)
+    ratios = [[value.as_integer_ratio() for value in row] for row in score]
+    scale = max(den for row in ratios for _, den in row)
+    gain = [[num * (scale // den) for num, den in row] for row in ratios]
+    masks = [
+        [sum(1 << t for t in cols) for cols in itertools.combinations(range(n), k)]
+        for k in range(n_pairs + 1)
+    ]
+    best = [{} for _ in range(m)] + [dict.fromkeys(masks[n_pairs], 0)]
+    for i in range(m - 1, -1, -1):
+        row, later = best[i], best[i + 1]
+        for k in range(max(0, n_pairs - (m - i)), min(i, n_pairs) + 1):
+            can_skip = m - i - 1 >= n_pairs - k
+            for mask in masks[k]:
+                top = later[mask] if can_skip else -1
+                if k < n_pairs:
+                    for t, value in enumerate(gain[i]):
+                        if not mask >> t & 1:
+                            total = value + later[mask | 1 << t]
+                            if total > top:
+                                top = total
+                row[mask] = top
+
+    target = best[0][0] / scale
+    pairs: list[tuple[int, int]] = []
+    mask = prefix = 0
+    for i in range(m):
+        if len(pairs) == n_pairs:
+            break
+        for t, value in enumerate(gain[i]):
+            if mask >> t & 1:
+                continue
+            if (prefix + value + best[i + 1][mask | 1 << t]) / scale == target:
+                pairs.append((i, t))
+                mask |= 1 << t
+                prefix += value
+                break
+    return pairs
+
+
+class _Comparison:
+    """One generated-vs-truth comparison, which every metric reads.
+
+    Each facet is tokenized once; the BLEU table and the assignment on its
+    BLEU-1 column are built once, on first use.
+    """
+
+    def __init__(self, generated: Sequence[str], truth: Sequence[str]):
+        for side, facets in (("generated", generated), ("truth", truth)):
+            if not facets:
+                raise DataError(f"{side} facet list is empty")
+        self.generated = [_Facet(f) for f in generated]
+        self.truth = [_Facet(g) for g in truth]
+
+    @cached_property
+    def bleu(self) -> list[list[tuple[float, float, float, float]]]:
+        return [[_bleu(f, g) for g in self.truth] for f in self.generated]
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        return _best_pairs([[cell[0] for cell in row] for row in self.bleu])
+
+    def term_overlap(self) -> PRF:
+        return _overlap(
+            {token for f in self.generated for token in f.tokens},
+            {token for g in self.truth for token in g.tokens},
+        )
+
+    def exact_match(self) -> PRF:
+        return _overlap(
+            {f.text for f in self.generated} - {""}, {g.text for g in self.truth} - {""}
+        )
+
+    def assignment(self) -> FacetAssignment:
+        matched_g = {g for g, _ in self.pairs}
+        matched_t = {t for _, t in self.pairs}
+        return FacetAssignment(
+            pairs=tuple((g, t, self.bleu[g][t][0]) for g, t in self.pairs),
+            unmatched_generated=tuple(i for i in range(len(self.generated)) if i not in matched_g),
+            unmatched_truth=tuple(j for j in range(len(self.truth)) if j not in matched_t),
+        )
+
+    def set_bleu(self) -> tuple[float, float, float, float]:
+        denom = max(len(self.generated), len(self.truth))
+        b1, b2, b3, b4 = (
+            math.fsum(self.bleu[g][t][k] for g, t in self.pairs) / denom for k in range(4)
+        )
+        return (b1, b2, b3, b4)
+
+    def set_sim(self, embedder: Embedder | None) -> PRF:
+        """Without an embedder, pairs score what :func:`indicator_embedder`
+        gives them: 1.0 for equal non-empty canonical texts, else 0.0."""
+        sims = []
+        for g, t in self.pairs:
+            a, b = self.generated[g], self.truth[t]
+            if embedder is None:
+                sims.append(1.0 if a.text == b.text != "" else 0.0)
+            else:
+                sims.append(min(max(cosine(_embed(embedder, a), _embed(embedder, b)), 0.0), 1.0))
+        total = math.fsum(sims)
+        return PRF.from_pr(total / len(self.generated), total / len(self.truth))
+
+
+def _overlap(generated: set[str], truth: set[str]) -> PRF:
+    """Precision and recall of one side's set against the other's."""
+    for side, items in (("generated", generated), ("truth", truth)):
+        if not items:
+            raise DataError(f"{side} facets normalize to an empty token set")
+    inter = len(generated & truth)
+    return PRF.from_pr(inter / len(generated), inter / len(truth))
+
+
+def _embed(embedder: Embedder, facet: _Facet) -> "np.ndarray | Sequence[float]":
+    try:
+        return embedder(facet.text)
+    except Exception as exc:
+        raise DataError(f"embedder failed for facet {facet.raw!r}: {exc}") from exc
 
 
 def term_overlap(generated: Sequence[str], truth: Sequence[str]) -> PRF:
     """Word-level overlap between the token sets of the two facet lists."""
-    _require_nonempty(generated, truth)
-    wf = _token_union(generated, "generated")
-    wg = _token_union(truth, "truth")
-    inter = len(wf & wg)
-    return PRF.from_pr(inter / len(wf), inter / len(wg))
+    return _Comparison(generated, truth).term_overlap()
 
 
 def exact_match(generated: Sequence[str], truth: Sequence[str]) -> PRF:
     """Facet-level overlap: whole facets equal after normalization, sets deduplicated."""
-    _require_nonempty(generated, truth)
-    fs = {normalized_facet(f) for f in generated} - {""}
-    gs = {normalized_facet(g) for g in truth} - {""}
-    if not fs:
-        raise DataError("generated facets normalize to an empty token set")
-    if not gs:
-        raise DataError("truth facets normalize to an empty token set")
-    inter = len(fs & gs)
-    return PRF.from_pr(inter / len(fs), inter / len(gs))
-
-
-def _ngram_counts(tokens: list[str], order: int) -> Counter:
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+    return _Comparison(generated, truth).exact_match()
 
 
 def bleu_n(candidate: str, reference: str, n: int) -> float:
@@ -214,113 +334,17 @@ def bleu_n(candidate: str, reference: str, n: int) -> float:
     """
     if not 1 <= n <= 4:
         raise ValueError(f"n must be in 1..4, got {n}")
-    cand = normalize(candidate)
-    ref = normalize(reference)
-    if not cand:
-        return 0.0
-    log_sum = 0.0
-    for order in range(1, n + 1):
-        total = max(len(cand) - order + 1, 0)
-        if total > 0:
-            ref_counts = _ngram_counts(ref, order)
-            matches = sum(
-                min(count, ref_counts[gram])
-                for gram, count in _ngram_counts(cand, order).items()
-            )
-        else:
-            matches = 0
-        if order == 1:
-            if matches == 0:
-                return 0.0
-            precision = matches / total
-        else:
-            precision = (matches + 1) / (max(total, 1) + 1)
-        log_sum += math.log(precision)
-    if len(cand) < len(ref):
-        bp = math.exp(1 - len(ref) / len(cand))
-    else:
-        bp = 1.0
-    return bp * math.exp(log_sum / n)
+    return _bleu(_Facet(candidate), _Facet(reference))[n - 1]
 
 
 def match_facet_pairs(generated: Sequence[str], truth: Sequence[str]) -> FacetAssignment:
-    """Optimal BLEU-1 assignment between the two facet lists.
-
-    Searches all assignments of the smaller side (with branch-and-bound
-    pruning), scoring totals with math.fsum so ties are arithmetic-order
-    independent, and keeps the lexicographically smallest maximizer.
-    """
-    _require_nonempty(generated, truth)
-    m, n = len(generated), len(truth)
-    score = [[bleu_n(f, g, 1) for g in truth] for f in generated]
-    n_pairs = min(m, n)
-
-    if all(value == 0.0 for row in score for value in row):
-        # Every assignment ties at zero; the lexicographically smallest is
-        # the diagonal prefix.
-        pairs = tuple((i, i, 0.0) for i in range(n_pairs))
-        return FacetAssignment(
-            pairs=pairs,
-            unmatched_generated=tuple(range(n_pairs, m)),
-            unmatched_truth=tuple(range(n_pairs, n)),
-        )
-
-    # Optimistic completion bound: best score each remaining generated facet
-    # could contribute, accumulated from the back.
-    row_max = [max(row) for row in score]
-    suffix_bound = [0.0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix_bound[i] = suffix_bound[i + 1] + row_max[i]
-
-    best_total = -math.inf
-    best_pairs: list[tuple[int, int]] = []
-    current: list[tuple[int, int]] = []
-    used = [False] * n
-
-    def walk(i: int, partial: float) -> None:
-        nonlocal best_total, best_pairs
-        placed = len(current)
-        if placed == n_pairs:
-            total = math.fsum(score[g][t] for g, t in current)
-            if total > best_total:
-                best_total = total
-                best_pairs = list(current)
-            return
-        # Margin absorbs float slop between the running partial and fsum totals.
-        if partial + suffix_bound[i] <= best_total - 1e-9:
-            return
-        for t in range(n):
-            if used[t]:
-                continue
-            used[t] = True
-            current.append((i, t))
-            walk(i + 1, partial + score[i][t])
-            current.pop()
-            used[t] = False
-        if (m - i - 1) >= (n_pairs - placed):
-            walk(i + 1, partial)
-
-    walk(0, 0.0)
-
-    pairs = tuple((g, t, score[g][t]) for g, t in best_pairs)
-    matched_g = {g for g, _ in best_pairs}
-    matched_t = {t for _, t in best_pairs}
-    return FacetAssignment(
-        pairs=pairs,
-        unmatched_generated=tuple(i for i in range(m) if i not in matched_g),
-        unmatched_truth=tuple(j for j in range(n) if j not in matched_t),
-    )
+    """Optimal BLEU-1 assignment between the two facet lists (see the module docstring)."""
+    return _Comparison(generated, truth).assignment()
 
 
 def set_bleu(generated: Sequence[str], truth: Sequence[str]) -> tuple[float, float, float, float]:
     """Mean BLEU-1..4 over matched pairs; unmatched facets count as zeros."""
-    assignment = match_facet_pairs(generated, truth)
-    denom = max(len(generated), len(truth))
-    values = []
-    for order in range(1, 5):
-        total = math.fsum(bleu_n(generated[g], truth[t], order) for g, t, _ in assignment.pairs)
-        values.append(total / denom)
-    return (values[0], values[1], values[2], values[3])
+    return _Comparison(generated, truth).set_bleu()
 
 
 def set_sim(generated: Sequence[str], truth: Sequence[str], embedder: Embedder) -> PRF:
@@ -329,31 +353,18 @@ def set_sim(generated: Sequence[str], truth: Sequence[str], embedder: Embedder) 
     Facet texts are normalized before embedding; per-pair similarity is the
     cosine of the two facet vectors clipped to [0, 1].
     """
-    assignment = match_facet_pairs(generated, truth)
-    sims = []
-    for g, t, _ in assignment.pairs:
-        va = _embed(embedder, generated[g])
-        vb = _embed(embedder, truth[t])
-        sims.append(min(max(cosine(va, vb), 0.0), 1.0))
-    total = math.fsum(sims)
-    return PRF.from_pr(total / len(generated), total / len(truth))
-
-
-def _embed(embedder: Embedder, facet: str) -> "np.ndarray | Sequence[float]":
-    try:
-        return embedder(normalized_facet(facet))
-    except Exception as exc:
-        raise DataError(f"embedder failed for facet {facet!r}: {exc}") from exc
+    return _Comparison(generated, truth).set_sim(embedder)
 
 
 def indicator_embedder(*facet_lists: Sequence[str]) -> Embedder:
-    """One-hot embedder over the distinct normalized facets given.
+    """One-hot embedder over the distinct non-empty normalized facets given.
 
     Identical normalized facets get cosine 1, distinct ones 0, so set_sim
     degrades to an exact-match similarity when no real embeddings exist.
-    Unknown strings map to the zero vector (similarity 0).
+    Unknown strings and the empty string, which is what a punctuation-only
+    facet normalizes to, map to the zero vector (similarity 0).
     """
-    vocab = sorted({normalized_facet(f) for lst in facet_lists for f in lst})
+    vocab = sorted({normalized_facet(f) for lst in facet_lists for f in lst} - {""})
     position = {text: i for i, text in enumerate(vocab)}
     dim = max(len(vocab), 1)
 
@@ -383,40 +394,22 @@ def evaluate_instance(
 ) -> MetricReport:
     """Full metric suite for one generated-vs-truth facet comparison.
 
-    Without an embedder, set_sim falls back to the indicator embedding over
-    the two facet lists.
+    Without an embedder, set_sim scores the indicator embedding over the
+    two facet lists, i.e. exact match of the normalized facets.
     """
-    _require_nonempty(generated, truth)
-    if embedder is None:
-        embedder = indicator_embedder(generated, truth)
+    comparison = _Comparison(generated, truth)
     return MetricReport(
-        term_overlap=term_overlap(generated, truth),
-        exact_match=exact_match(generated, truth),
-        set_sim=set_sim(generated, truth, embedder),
-        set_bleu=set_bleu(generated, truth),
+        term_overlap=comparison.term_overlap(),
+        exact_match=comparison.exact_match(),
+        set_sim=comparison.set_sim(embedder),
+        set_bleu=comparison.set_bleu(),
     )
 
 
 def mean_report(reports: Sequence[MetricReport]) -> MetricReport:
     """Field-wise mean of metric reports; an empty sequence yields all zeros."""
-    if not reports:
-        zero = PRF(0.0, 0.0, 0.0)
-        return MetricReport(zero, zero, zero, (0.0, 0.0, 0.0, 0.0))
-    count = len(reports)
-
-    def mean_prf(select: Callable[[MetricReport], PRF]) -> PRF:
-        return PRF(
-            precision=math.fsum(select(r).precision for r in reports) / count,
-            recall=math.fsum(select(r).recall for r in reports) / count,
-            f1=math.fsum(select(r).f1 for r in reports) / count,
-        )
-
-    bleu = tuple(
-        math.fsum(r.set_bleu[i] for r in reports) / count for i in range(4)
-    )
-    return MetricReport(
-        term_overlap=mean_prf(lambda r: r.term_overlap),
-        exact_match=mean_prf(lambda r: r.exact_match),
-        set_sim=mean_prf(lambda r: r.set_sim),
-        set_bleu=(bleu[0], bleu[1], bleu[2], bleu[3]),
+    flats = [report.to_flat_dict() for report in reports]
+    count = max(len(flats), 1)
+    return MetricReport.from_flat_dict(
+        {col: math.fsum(flat[col] for flat in flats) / count for col in METRIC_COLUMNS}
     )

@@ -263,6 +263,52 @@ class TestEvaluate:
             == 0
         )
 
+    def _evaluate(self, tmp_path, generated, truth):
+        gen_path, truth_path = tmp_path / "generated.jsonl", tmp_path / "truth.jsonl"
+        write_jsonl(gen_path, [{"id": i, "facets": f} for i, f in generated])
+        write_jsonl(
+            truth_path,
+            [{"id": i, "query": q, "question": None, "facets": f} for i, q, f in truth],
+        )
+        out = tmp_path / "scores.jsonl"
+        argv = ["evaluate", "--generated", str(gen_path), "--truth", str(truth_path)]
+        return main([*argv, "--out", str(out)]), out
+
+    def test_csv_text_is_pinned(self, tmp_path):
+        code, out = self._evaluate(
+            tmp_path,
+            [
+                ("q1", ["Windows 10", "linux", "mac"]),
+                ("q2", ["zip code finder", "area code", "phone"]),
+            ],
+            [
+                ("q1", "operating systems", ["windows 10", "windows 7", "mac os"]),
+                ("q2", "area code", ["zip code", "area code lookup"]),
+            ],
+        )
+        assert code == 0
+        assert out.with_suffix(".csv").read_text() == (
+            "instance_id,term_overlap_precision,term_overlap_recall,term_overlap_f1,"
+            "exact_match_precision,exact_match_recall,exact_match_f1,set_sim_precision,"
+            "set_sim_recall,set_sim_f1,set_bleu1,set_bleu2,set_bleu3,set_bleu4\n"
+            "q1,0.750000,0.600000,0.666667,0.333333,0.333333,0.333333,0.333333,0.333333,"
+            "0.333333,0.455960,0.420043,0.341817,0.308616\n"
+            "q2,0.600000,0.750000,0.666667,0.000000,0.000000,0.000000,0.000000,0.000000,"
+            "0.000000,0.424399,0.424399,0.362370,0.335411\n"
+            "__mean__,0.675000,0.675000,0.666667,0.166667,0.166667,0.166667,0.166667,"
+            "0.166667,0.166667,0.440179,0.422221,0.352093,0.322014\n"
+        )
+
+    def test_long_generated_list(self, tmp_path):
+        generated = [f"facet {i}" for i in range(1200)]
+        code, out = self._evaluate(
+            tmp_path, [("q1", generated)], [("q1", "query", ["facet 7", "facet 9", "other"])]
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["instance_id"] for row in rows] == ["q1", "__mean__"]
+        assert rows[0]["exact_match_recall"] == pytest.approx(2 / 3)
+
 
 class TestHarnessCommands:
     def test_align_stats(self, data, tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from clarikit.errors import DataError
 from clarikit.metrics import (
+    PRF,
     bleu_n,
     evaluate_instance,
     exact_match,
@@ -24,6 +25,7 @@ WORDS = ["alpha", "beta", "gamma", "delta", "omega", "cast", "zip", "code", "red
 
 facet_st = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
 facet_list_st = st.lists(facet_st, min_size=1, max_size=4)
+facet_list6_st = st.lists(facet_st, min_size=1, max_size=6)
 
 
 def brute_force_pairs(generated, truth):
@@ -182,8 +184,26 @@ class TestMatchFacetPairs:
         assert tuple((g, t) for g, t, _ in a.pairs) == ((0, 0), (1, 1))
         assert a.unmatched_truth == (2,)
 
+    def test_rounded_total_tie_takes_lexicographic_pairing(self):
+        # (0,0),(1,1) sums 1/3 + 2/3 = 1 - 2**-54 exactly, which fsum rounds
+        # to 1.0: a tie with (0,1),(1,0) at exactly 1.0, won by the first.
+        generated = ["alpha beta gamma", "alpha beta cast"]
+        truth = ["gamma", "alpha beta gamma"]
+        got = match_facet_pairs(generated, truth)
+        assert tuple((g, t) for g, t, _ in got.pairs) == ((0, 0), (1, 1))
+        assert math.fsum(s for _, _, s in got.pairs) == 1.0
+        assert brute_force_pairs(generated, truth)[:2] == (((0, 0), (1, 1)), 1.0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_all_equal_scores_take_diagonal(self, n):
+        # Every pair shares one of its two words, so every BLEU-1 is 0.5.
+        generated = [f"red a{i}" for i in range(n)]
+        truth = [f"red b{i}" for i in range(n)]
+        got = match_facet_pairs(generated, truth)
+        assert got.pairs == tuple((i, i, 0.5) for i in range(n))
+
     @settings(deadline=None, max_examples=150)
-    @given(facet_list_st, facet_list_st)
+    @given(facet_list6_st, facet_list6_st)
     def test_matches_brute_force(self, generated, truth):
         expected, expected_total, _ = brute_force_pairs(generated, truth)
         got = match_facet_pairs(generated, truth)
@@ -236,6 +256,14 @@ class TestSetSim:
         with pytest.raises(DataError, match="cast"):
             set_sim(["cast"], ["cast"], broken)
 
+    def test_punctuation_only_facets_earn_no_credit(self):
+        f, g = ["...", "alpha"], ["!!!", "beta"]
+        zero = PRF(0.0, 0.0, 0.0)
+        assert evaluate_instance(f, g).set_sim == zero
+        assert set_sim(f, g, indicator_embedder(f, g)) == zero
+        assert exact_match(f, g) == zero
+        assert term_overlap(f, g) == zero
+
     def test_table_embedder_similarity(self):
         from clarikit.corpus import EmbeddingTable
 
@@ -251,6 +279,7 @@ class TestEvaluateInstance:
         assert report.term_overlap == term_overlap(f, g)
         assert report.exact_match == exact_match(f, g)
         assert report.set_bleu == set_bleu(f, g)
+        assert report.set_sim == set_sim(f, g, indicator_embedder(f, g))
 
     def test_identity_report(self):
         report = evaluate_instance(["zip code"], ["zip code"])
