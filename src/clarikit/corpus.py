@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -152,33 +153,42 @@ def _check_vector(key: str, value: "list[float] | np.ndarray", dim: int | None) 
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Externally computed dense vectors keyed by document or text identifier."""
+    """Externally computed dense vectors: row i of ``matrix`` is the vector of ``ids[i]``."""
 
-    dim: int
-    entries: dict[str, np.ndarray]
+    ids: tuple[str, ...]
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.matrix.flags.writeable = False
 
     @classmethod
     def from_dict(cls, raw: dict[str, "list[float] | np.ndarray"]) -> "EmbeddingTable":
         if not raw:
             raise DataError("embedding table is empty")
-        entries: dict[str, np.ndarray] = {}
-        dim: int | None = None
+        rows: list[np.ndarray] = []
         for key, value in raw.items():
-            entries[key] = _check_vector(key, value, dim)
-            dim = entries[key].shape[0]
-        return cls(dim=dim, entries=entries)
+            rows.append(_check_vector(key, value, rows[0].shape[0] if rows else None))
+        return cls(ids=tuple(raw), matrix=np.array(rows))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @cached_property
+    def _row_of(self) -> dict[str, int]:
+        return {key: i for i, key in enumerate(self.ids)}
 
     def vector(self, key: str) -> np.ndarray:
         try:
-            return self.entries[key]
+            return self.matrix[self._row_of[key]]
         except KeyError:
             raise DataError(f"no embedding for key {key!r}") from None
 
     def __contains__(self, key: str) -> bool:
-        return key in self.entries
+        return key in self._row_of
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -307,20 +317,23 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     The dimensionality is fixed by the first line; later lines must agree.
     """
-    entries: dict[str, np.ndarray] = {}
+    ids: dict[str, None] = {}  # an ordered set: file order, for the duplicate check
+    rows = array("d")  # one growing buffer, not per-row arrays stacked at the end
     dim: int | None = None
     for lineno, obj in iter_jsonl(path):
         key = _require_str(obj, "id", path, lineno)
         raw = _require(obj, "vector", path, lineno)
         if not isinstance(raw, list) or not all(isinstance(x, (int, float)) for x in raw):
             raise DataError(f"{path}: line {lineno}: 'vector' must be a list of numbers")
-        if key in entries:
+        if key in ids:
             raise DataError(f"{path}: line {lineno}: duplicate embedding id {key!r}")
         try:
-            entries[key] = _check_vector(key, raw, dim)
+            vec = _check_vector(key, raw, dim)
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        dim = entries[key].shape[0]
+        dim = vec.shape[0]
+        ids[key] = None
+        rows.frombytes(vec.tobytes())
     if dim is None:
         raise DataError(f"{path}: no embeddings found")
-    return EmbeddingTable(dim=dim, entries=entries)
+    return EmbeddingTable(ids=tuple(ids), matrix=np.frombuffer(rows).reshape(len(ids), dim))

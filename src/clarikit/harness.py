@@ -232,7 +232,6 @@ def loo_faithfulness(
     table: EmbeddingTable | None = None,
     seed: int = 0,
     metric_kind: str = "exact_match",
-    k: int | None = None,
     max_facets: int = 5,
     emit_question: bool = False,
     sole_provenance_only: bool = False,
@@ -252,8 +251,6 @@ def loo_faithfulness(
         raise ValueError(f"unknown metric kind {metric_kind!r}")
     if not instances:
         raise DataError("no instances given")
-    config = replace(base_pool_config, k=k) if k is not None else base_pool_config
-
     per: list[tuple[str, int, float, float]] = []
     skips: list[tuple[str, str]] = []
     for inst in instances:
@@ -262,9 +259,7 @@ def loo_faithfulness(
         facet = inst.facets[facet_idx]
         label = facet_label(facet_idx)
         try:
-            pool = build_pool(
-                config, inst, index=index, table=table, query_embedder=query_embedder
-            )
+            pool = build_pool(base_pool_config, inst, index, table, query_embedder)
             texts = resolve_texts(pool, corpus, inst)
             clar = generator(
                 GeneratorRequest(inst.query, tuple(texts), max_facets, emit_question)

@@ -31,6 +31,7 @@ from .corpus import (
     ClarificationInstance,
     Corpus,
     EmbeddingTable,
+    _check_vector,
     iter_jsonl,
     normalize,
     read_json_object,
@@ -231,54 +232,46 @@ def bm25_retrieve(
         scores[ords] += idf * tf * (k1 + 1.0) / norm
         matched[ords] = True
     hits = np.flatnonzero(matched)
-    hit_scores = scores[hits]
-    if len(hits) > k:
-        # Keep every document tied with the k-th score, so that the exact
-        # (-score, doc id) order below decides which of them make the cut.
-        kth = hit_scores[np.argpartition(-hit_scores, k - 1)[k - 1]]
-        keep = hit_scores >= kth
-        hits, hit_scores = hits[keep], hit_scores[keep]
-    ranked = sorted(
-        zip(hit_scores.tolist(), hits.tolist()),
-        key=lambda item: (-item[0], index.doc_ids[item[1]]),
-    )
-    return [
-        ScoredDoc(doc_id=index.doc_ids[ordinal], score=score, rank=rank)
-        for rank, (score, ordinal) in enumerate(ranked[:k], start=1)
-    ]
+    return _top_k(hits, scores[hits], index.doc_ids, k)
 
 
 def dense_retrieve(
     table: EmbeddingTable,
     query_vector: "np.ndarray | Sequence[float]",
     k: int,
-    normalize_vectors: bool = False,
 ) -> list[ScoredDoc]:
-    """Top-k entries by inner product (cosine when normalize_vectors is set).
+    """Top-k entries by inner product with the query vector.
 
-    An exact scan over the table; ties break on ascending id.  Zero-norm
-    vectors are left unnormalized, so they score 0 everywhere.
+    An exact scan over the table's matrix; ties break on ascending id.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query = np.asarray(query_vector, dtype=np.float64)
-    if query.shape != (table.dim,):
+    if np.shape(query_vector) != (table.dim,):
         raise DataError(
-            f"query vector has dimension {query.shape}, table dimension is {table.dim}"
+            f"query vector has dimension {np.shape(query_vector)}, table dimension is {table.dim}"
         )
-    ids = list(table.entries.keys())
-    matrix = np.stack([table.entries[i] for i in ids])
-    if normalize_vectors:
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        matrix = np.divide(matrix, norms, out=matrix.copy(), where=norms > 0)
-        qnorm = float(np.linalg.norm(query))
-        if qnorm > 0:
-            query = query / qnorm
-    scores = matrix @ query
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    query = _check_vector("query vector", query_vector, table.dim)
+    scores = table.matrix @ query
+    return _top_k(np.arange(len(scores)), scores, table.ids, k)
+
+
+def _top_k(rows: np.ndarray, scores: np.ndarray, ids: Sequence[str], k: int) -> list[ScoredDoc]:
+    """The k best ``rows`` in (-score, id) order, ranked from 1.
+
+    ``scores[i]`` is the score of row ``rows[i]``, whose id is ``ids[rows[i]]``.
+    """
+    if len(rows) > k:
+        # Keep every row tied with the k-th score, so that the exact
+        # (-score, id) order below decides which of them make the cut.
+        kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+        keep = scores >= kth
+        rows, scores = rows[keep], scores[keep]
+    ranked = sorted(
+        zip(scores.tolist(), rows.tolist()), key=lambda item: (-item[0], ids[item[1]])
+    )
     return [
-        ScoredDoc(doc_id=ids[i], score=float(scores[i]), rank=rank)
-        for rank, i in enumerate(order[:k], start=1)
+        ScoredDoc(doc_id=ids[row], score=score, rank=rank)
+        for rank, (score, row) in enumerate(ranked[:k], start=1)
     ]
 
 
@@ -396,10 +389,11 @@ def split_embeddings(
     Returns (doc_table, query_embedder) ready for :func:`build_pool`, which
     keeps query keys from ever being retrieved as documents.
     """
-    doc_entries = {k: v for k, v in table.entries.items() if k in corpus}
-    if not doc_entries:
+    rows = [i for i, key in enumerate(table.ids) if key in corpus]
+    if not rows:
         raise DataError("embedding table contains no corpus document vectors")
-    return EmbeddingTable(dim=table.dim, entries=doc_entries), table.vector
+    doc_table = EmbeddingTable(ids=tuple(table.ids[i] for i in rows), matrix=table.matrix[rows])
+    return doc_table, table.vector
 
 
 def _sub_queries(
@@ -430,12 +424,9 @@ def _retrieve(
         return bm25_retrieve(index, text, fetch_n, k1=config.bm25_k1, b=config.bm25_b)
     if table is None:
         raise ValueError("dense retrieval requires an embedding table")
-    if query_embedder is not None:
-        vector = query_embedder(text)
-    else:
-        # Sub-query vectors are looked up by the sub-query text itself.
-        vector = table.vector(text)
-    return dense_retrieve(table, vector, fetch_n)
+    # Without an embedder, sub-query vectors are looked up by the sub-query text itself.
+    embed = query_embedder if query_embedder is not None else table.vector
+    return dense_retrieve(table, embed(text), fetch_n)
 
 
 def build_pool(

@@ -185,6 +185,10 @@ class TestLoadEmbeddings:
         assert table.dim == 4
         assert len(table) == 2
         assert list(table.vector("d1")) == [1.0, 0.0, 0.0, 0.0]
+        # One read-only matrix in file order: row i is the vector of ids[i].
+        assert table.ids == ("d1", "d2")
+        assert table.matrix.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+        assert not table.matrix.flags.writeable
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = self.write(

@@ -244,13 +244,6 @@ class TestDenseRetrieve:
         assert [r.doc_id for r in results] == ["d1", "d2"]
         assert all(r.score == 0.0 for r in results)
 
-    def test_collinear_cosine_tie(self):
-        table = EmbeddingTable.from_dict({"d1": [2, 0], "d2": [1, 0]})
-        results = dense_retrieve(table, [1, 0], k=2, normalize_vectors=True)
-        assert [r.doc_id for r in results] == ["d1", "d2"]
-        assert results[0].score == pytest.approx(1.0)
-        assert results[1].score == pytest.approx(1.0)
-
     def test_dim_mismatch_errors(self):
         table = EmbeddingTable.from_dict({"d1": [1, 0]})
         with pytest.raises(DataError, match="dimension"):
@@ -259,6 +252,65 @@ class TestDenseRetrieve:
     def test_deterministic(self):
         table = EmbeddingTable.from_dict({"a": [0.5, 0.1], "b": [0.4, 0.9]})
         assert dense_retrieve(table, [1, 1], k=2) == dense_retrieve(table, [1, 1], k=2)
+
+    @pytest.mark.parametrize("query", [[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]])
+    def test_non_finite_query_rejected(self, query):
+        table = EmbeddingTable.from_dict({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        with pytest.raises(DataError, match="non-finite"):
+            dense_retrieve(table, query, k=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vectors=st.lists(
+            st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1, max_size=12
+        ),
+        query=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+        data=st.data(),
+    )
+    def test_matches_brute_force_ranking(self, vectors, query, data):
+        # Small integer components make many scores tie, also at the k-th place.
+        ids = data.draw(
+            st.lists(
+                st.text("abc", min_size=1, max_size=3),
+                min_size=len(vectors),
+                max_size=len(vectors),
+                unique=True,
+            )
+        )
+        table = EmbeddingTable.from_dict(dict(zip(ids, vectors)))
+        k = data.draw(st.integers(1, len(ids) + 2))
+        scores = {i: float(sum(a * b for a, b in zip(v, query))) for i, v in zip(ids, vectors)}
+        expected = sorted(ids, key=lambda i: (-scores[i], i))[:k]
+        got = dense_retrieve(table, query, k)
+        assert [r.doc_id for r in got] == expected
+        assert [r.rank for r in got] == list(range(1, len(expected) + 1))
+        assert [r.score for r in got] == [scores[i] for i in expected]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        keys=st.lists(
+            st.sampled_from(["d1", "d2", "d3", "q", "q d1", "x"]), unique=True
+        ).filter(lambda keys: any(key.startswith("d") for key in keys)),
+        data=st.data(),
+    )
+    def test_split_table_holds_the_corpus_rows_in_table_order(self, keys, data):
+        from clarikit.retrieval import split_embeddings
+
+        vectors = data.draw(
+            st.lists(
+                st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+                min_size=len(keys),
+                max_size=len(keys),
+            )
+        )
+        mixed = EmbeddingTable.from_dict(dict(zip(keys, vectors)))
+        corpus = corpus_of({"d1": "one", "d2": "two", "d3": "three"})
+        doc_keys = [key for key in keys if key in corpus]
+        doc_table, _ = split_embeddings(mixed, corpus)
+        assert doc_table.ids == tuple(doc_keys)
+        assert doc_table.matrix.flags.c_contiguous
+        for key in doc_keys:
+            assert doc_table.vector(key).tobytes() == mixed.vector(key).tobytes()
 
 
 class TestInterleave:
@@ -396,7 +448,7 @@ class TestBuildPool:
         )
         doc_table, query_embedder = split_embeddings(mixed, corpus)
         # Query keys are never scanned as documents.
-        assert set(doc_table.entries) == {"d1", "d2"}
+        assert set(doc_table.ids) == {"d1", "d2"}
         inst = ClarificationInstance(id="i", query="leiden", facets=("weather",))
         cfg = RetrievalConfig(mode="dense", alignment="facet_aligned", k=2)
         pool = build_pool(cfg, inst, table=doc_table, query_embedder=query_embedder)
@@ -565,8 +617,8 @@ class TestMmr:
         cfg = RetrievalConfig(
             mode="dense", alignment="query_only", k=2, candidate_n=4, mmr_lambda=0.5
         )
-        doc_table = EmbeddingTable(
-            dim=2, entries={k: v for k, v in table.entries.items() if k != "q"}
+        doc_table = EmbeddingTable.from_dict(
+            {k: table.vector(k) for k in table.ids if k != "q"}
         )
         pool = build_pool(cfg, inst, table=doc_table, query_embedder=table.vector)
         ids = [e.doc_id for e in pool.entries]
