@@ -47,16 +47,20 @@ def stopwords() -> frozenset[str]:
     return frozenset(w for w in text.split() if w)
 
 
-# Per-character mapping cache: punctuation -> space, everything else kept.
-_CHAR_MAP: dict[str, str] = {}
+class _PunctMap(dict):
+    """``str.translate`` table: punctuation code points -> space, others kept.
+
+    Filled on demand from ``unicodedata.category`` and cached, so one table
+    serves all of Unicode.
+    """
+
+    def __missing__(self, code_point: int) -> str | int:
+        mapped = " " if unicodedata.category(chr(code_point)).startswith("P") else code_point
+        self[code_point] = mapped
+        return mapped
 
 
-def _map_char(ch: str) -> str:
-    mapped = _CHAR_MAP.get(ch)
-    if mapped is None:
-        mapped = " " if unicodedata.category(ch).startswith("P") else ch
-        _CHAR_MAP[ch] = mapped
-    return mapped
+_PUNCT_MAP = _PunctMap()
 
 
 def normalize(text: str, drop_stopwords: bool = False) -> list[str]:
@@ -65,8 +69,7 @@ def normalize(text: str, drop_stopwords: bool = False) -> list[str]:
     With ``drop_stopwords`` the bundled English stopword list is applied
     after splitting.  Deterministic, and idempotent on its own output.
     """
-    lowered = text.lower()
-    tokens = "".join(_map_char(ch) for ch in lowered).split()
+    tokens = text.lower().translate(_PUNCT_MAP).split()
     if drop_stopwords:
         sw = stopwords()
         tokens = [t for t in tokens if t not in sw]

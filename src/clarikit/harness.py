@@ -416,20 +416,18 @@ def taxonomy_analysis(
         raise DataError("no instances given")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
+    facet_tokens = [
+        [normalize(facet, drop_stopwords=True) for facet in inst.facets] for inst in instances
+    ]
     counts: dict[str, int] = {}
-    for inst in instances:
-        for facet in inst.facets:
-            for token in normalize(facet, drop_stopwords=True):
+    for token_lists in facet_tokens:
+        for tokens in token_lists:
+            for token in tokens:
                 counts[token] = counts.get(token, 0) + 1
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:top_k]
     top = {word for word, _ in ranked}
     biased = sum(
-        1
-        for inst in instances
-        if any(
-            top.intersection(normalize(facet, drop_stopwords=True))
-            for facet in inst.facets
-        )
+        1 for token_lists in facet_tokens if any(top.intersection(t) for t in token_lists)
     )
     return TaxonomyReport(
         top_words=tuple(ranked), biased_fraction=biased / len(instances)

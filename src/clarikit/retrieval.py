@@ -84,15 +84,11 @@ class ScoredDoc:
 class InvertedIndex:
     """Term postings over a corpus, tokenized with the shared normalizer.
 
-    Postings are stored once, as two CSR (compressed sparse row) layouts
-    of the same (term, document, tf) triples:
-
-    * term-major: the postings of term id ``t`` are
-      ``ordinals[offsets[t]:offsets[t + 1]]`` with their ``tfs``, in
-      ascending document ordinal;
-    * doc-major (the forward index): the terms of document ordinal ``d``
-      are ``doc_terms[doc_offsets[d]:doc_offsets[d + 1]]`` with their
-      ``doc_tfs``, in ascending term id.
+    Postings are stored once, as a term-major CSR (compressed sparse row)
+    layout of the (term, document, tf) triples: the postings of term id
+    ``t`` are ``ordinals[offsets[t]:offsets[t + 1]]`` with their ``tfs``,
+    in ascending document ordinal.  The doc-major layout, the forward
+    index, is derived from it on first use (see :attr:`forward`).
 
     ``term_ids`` maps each term to its id.  Two indexes are equal when they
     hold the same documents, lengths and postings, whatever their term ids.
@@ -102,9 +98,6 @@ class InvertedIndex:
     offsets: np.ndarray
     ordinals: np.ndarray
     tfs: np.ndarray
-    doc_offsets: np.ndarray
-    doc_terms: np.ndarray
-    doc_tfs: np.ndarray
     doc_lengths: np.ndarray
     doc_ids: tuple[str, ...]
     avg_doc_len: float
@@ -125,6 +118,19 @@ class InvertedIndex:
     @cached_property
     def ordinal_of(self) -> dict[str, int]:
         return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+
+    @cached_property
+    def forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The forward index ``(doc_offsets, doc_terms, doc_tfs)``, read-only.
+
+        The terms of document ordinal ``d`` are
+        ``doc_terms[doc_offsets[d]:doc_offsets[d + 1]]`` with their
+        ``doc_tfs``, in ascending term id.
+        """
+        arrays = _transpose(self.offsets, self.ordinals, self.tfs, self.doc_count)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
     def posting(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """(ordinals, tfs) of one term; empty arrays for an unknown term."""
@@ -171,23 +177,17 @@ def build_inverted_index(corpus: Corpus) -> InvertedIndex:
         row_sizes.append(len(counts))
     row_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(np.frombuffer(row_sizes, dtype=np.int64), out=row_offsets[1:])
-    # Rows are in first-seen order; the round trip through the term-major
-    # layout leaves each document's terms in ascending id.
     offsets, ordinals, tfs = _transpose(
         row_offsets,
         np.frombuffer(row_terms, dtype=np.int32),
         np.frombuffer(row_tfs, dtype=np.int32),
         len(term_ids),
     )
-    doc_offsets, doc_terms, doc_tfs = _transpose(offsets, ordinals, tfs, len(lengths))
     return InvertedIndex(
         term_ids=term_ids,
         offsets=offsets,
         ordinals=ordinals,
         tfs=tfs,
-        doc_offsets=doc_offsets,
-        doc_terms=doc_terms,
-        doc_tfs=doc_tfs,
         doc_lengths=np.array(lengths, dtype=np.int64),
         doc_ids=tuple(d.id for d in corpus.docs),
         avg_doc_len=sum(lengths) / len(lengths),
@@ -591,15 +591,14 @@ def tfidf_similarity(index: InvertedIndex) -> Callable[[str, str], float]:
     def vector(doc_id: str) -> tuple[dict[int, float], float]:
         hit = cache.get(doc_id)
         if hit is None:
+            doc_offsets, doc_terms, doc_tfs = index.forward
             ordinal = index.ordinal_of[doc_id]
-            lo, hi = index.doc_offsets[ordinal], index.doc_offsets[ordinal + 1]
-            terms = index.doc_terms[lo:hi]
+            lo, hi = doc_offsets[ordinal], doc_offsets[ordinal + 1]
+            terms = doc_terms[lo:hi]
             dfs = index.offsets[terms + 1] - index.offsets[terms]
             vec = {
                 t: tf * _idf(n_docs, df)
-                for t, tf, df in zip(
-                    terms.tolist(), index.doc_tfs[lo:hi].tolist(), dfs.tolist()
-                )
+                for t, tf, df in zip(terms.tolist(), doc_tfs[lo:hi].tolist(), dfs.tolist())
             }
             hit = cache[doc_id] = (vec, math.sqrt(sum(w * w for w in vec.values())))
         return hit
@@ -690,18 +689,11 @@ def index_from_dict(raw: dict) -> InvertedIndex:
         raise DataError("malformed index file: a term's ordinals are not strictly ascending")
     offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    tf_arr = np.frombuffer(tfs, dtype=np.int32)
-    doc_offsets, doc_terms, doc_tfs = _transpose(
-        offsets, ordinal_arr, tf_arr, len(doc_ids)
-    )
     return InvertedIndex(
         term_ids=term_ids,
         offsets=offsets,
         ordinals=ordinal_arr,
-        tfs=tf_arr,
-        doc_offsets=doc_offsets,
-        doc_terms=doc_terms,
-        doc_tfs=doc_tfs,
+        tfs=np.frombuffer(tfs, dtype=np.int32),
         doc_lengths=np.array(lengths, dtype=np.int64),
         doc_ids=doc_ids,
         avg_doc_len=avg_doc_len,

@@ -1,10 +1,12 @@
 """Loaders and the shared normalizer."""
 
 import json
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
 
+from clarikit import corpus as corpus_module
 from clarikit.corpus import (
     Corpus,
     Document,
@@ -18,6 +20,34 @@ from clarikit.corpus import (
 )
 from clarikit.errors import DataError
 from clarikit.retrieval import build_inverted_index
+
+
+def normalize_oracle(text: str, drop_stopwords: bool = False) -> list[str]:
+    """The per-character map ``normalize`` was first written as."""
+    mapped = "".join(
+        " " if unicodedata.category(ch).startswith("P") else ch for ch in text.lower()
+    )
+    tokens = mapped.split()
+    if drop_stopwords:
+        tokens = [t for t in tokens if t not in stopwords()]
+    return tokens
+
+
+# Pieces that stress the translate table: ASCII controls (\x1c-\x1f are
+# whitespace to str.split), the category-S symbols that stay in tokens,
+# characters that lower() expands or that are whitespace outside ASCII,
+# stopwords, and any code point at all, surrogates included.
+_TRICKY = "\x00\x07\x1c\x1d\x1e\x1f\x7f\x85\xa0\u2028\u3000$+<=>^`|~İẞΣ«»¿-_'"
+normalize_text = st.lists(
+    st.one_of(
+        st.characters(max_codepoint=0x7F),
+        st.sampled_from(_TRICKY),
+        st.sampled_from(["the", "The", "AND", "of", "leiden", "café"]),
+        st.characters(categories=["Cs"]),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=40,
+).map("".join)
 
 
 class TestNormalize:
@@ -51,6 +81,23 @@ class TestNormalize:
         for tok in normalize(text):
             assert tok
             assert not any(ch.isspace() for ch in tok)
+
+    @given(normalize_text, st.booleans())
+    def test_matches_per_character_oracle(self, text, drop):
+        assert normalize(text, drop_stopwords=drop) == normalize_oracle(text, drop)
+
+    def test_every_code_point_matches_oracle(self, monkeypatch):
+        # Each code point between two letters, so it either joins them or
+        # splits them.  One block at a time, each with an empty table that
+        # the first call fills and the second reads, keeps memory small.
+        table = corpus_module._PunctMap()
+        monkeypatch.setattr(corpus_module, "_PUNCT_MAP", table)
+        for lo in range(0, 0x110000, 0x10000):
+            table.clear()
+            text = " ".join(f"a{chr(cp)}b" for cp in range(lo, lo + 0x10000))
+            expected = normalize_oracle(text)
+            assert normalize(text) == expected
+            assert normalize(text) == expected
 
 
 class TestLoadCorpus:

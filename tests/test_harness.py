@@ -5,9 +5,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import constant_generator
-from clarikit.corpus import ClarificationInstance, Corpus, Document
+from clarikit import harness
+from clarikit.corpus import ClarificationInstance, Corpus, Document, normalize
 from clarikit.errors import DataError
 from clarikit.generator import extractive_generate
 from clarikit.harness import (
@@ -344,6 +346,49 @@ class TestTaxonomyAnalysis:
         report = taxonomy_analysis(instances, top_k=5)
         # "to" and "do" are stopwords; only "things" is counted.
         assert report.top_words == (("things", 1),)
+
+    @given(
+        facet_lists=st.lists(
+            st.lists(
+                st.lists(st.sampled_from(["the", "red", "Red!", "blue", "to", "green"]))
+                .map(" ".join),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        top_k=st.integers(1, 4),
+    )
+    def test_matches_two_pass_oracle_tokenizing_each_facet_once(self, facet_lists, top_k):
+        instances = [
+            ClarificationInstance(id=f"i{n}", query="q", facets=tuple(facets))
+            for n, facets in enumerate(facet_lists)
+        ]
+        # Oracle: count, then tokenize every facet again for the biased test.
+        counts: dict[str, int] = {}
+        for facets in facet_lists:
+            for facet in facets:
+                for token in normalize(facet, drop_stopwords=True):
+                    counts[token] = counts.get(token, 0) + 1
+        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:top_k]
+        top = {word for word, _ in ranked}
+        biased = sum(
+            any(top.intersection(normalize(f, drop_stopwords=True)) for f in facets)
+            for facets in facet_lists
+        )
+        calls = []
+
+        def counting_normalize(text, drop_stopwords=False):
+            calls.append(text)
+            return normalize(text, drop_stopwords)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "normalize", counting_normalize)
+            report = taxonomy_analysis(instances, top_k=top_k)
+        assert report.top_words == tuple(ranked)
+        assert report.biased_fraction == biased / len(instances)
+        assert len(calls) == sum(len(facets) for facets in facet_lists)
 
 
 def write_jsonl(path, rows):

@@ -2,10 +2,14 @@
 
 import json
 import math
+import sys
 import tempfile
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,6 +138,58 @@ class TestInvertedIndex:
         assert sums == index.doc_lengths.tolist()
         lengths = [len(normalize(d.text)) for d in tiny_corpus.docs]
         assert index.avg_doc_len == sum(lengths) / len(lengths)
+
+    @settings(deadline=None, max_examples=100)
+    @given(texts=small_corpora)
+    def test_forward_index_holds_each_documents_token_counts(self, texts):
+        built = build_inverted_index(corpus_of(texts))
+        assert "forward" not in vars(built)  # derived on first use only
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(built, Path(tmp) / "index.json")
+            loaded = load_index(tmp)
+        for index in (built, loaded):
+            doc_offsets, doc_terms, doc_tfs = index.forward
+            assert index.forward is index.forward
+            assert [a.dtype for a in index.forward] == [np.int64, np.int32, np.int32]
+            term_of = {t: term for term, t in index.term_ids.items()}
+            for ordinal, text in enumerate(texts.values()):
+                lo, hi = doc_offsets[ordinal], doc_offsets[ordinal + 1]
+                terms = doc_terms[lo:hi].tolist()
+                assert terms == sorted(terms)
+                pairs = {term_of[t]: tf for t, tf in zip(terms, doc_tfs[lo:hi].tolist())}
+                assert pairs == Counter(normalize(text))
+            for array in index.forward:
+                with pytest.raises(ValueError):
+                    array[:1] = 0
+        # Term ids differ between the two (first-seen vs file order).
+        sim_built, sim_loaded = tfidf_similarity(built), tfidf_similarity(loaded)
+        for a in texts:
+            for b in texts:
+                assert abs(sim_built(a, b) - sim_loaded(a, b)) <= 1e-12
+
+    def test_concurrent_first_use_of_the_forward_index(self):
+        texts = {f"d{i:03d}": f"w{i % 7} w{i % 5} w{i % 3} w{i % 11}" for i in range(300)}
+        pairs = [(a, b) for a in list(texts)[:20] for b in texts]
+        serial = tfidf_similarity(build_inverted_index(corpus_of(texts)))
+        expected = [serial(a, b) for a, b in pairs]
+        index = build_inverted_index(corpus_of(texts))
+        start = threading.Barrier(8)
+
+        def work():
+            start.wait(timeout=30)
+            sim = tfidf_similarity(index)
+            return [sim(a, b) for a, b in pairs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as executor:
+                futures = [executor.submit(work) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == expected for r in results)
+        assert all(not a.flags.writeable for a in index.forward)
 
 
 class TestBm25:
