@@ -315,6 +315,25 @@ def iter_generated(path: str | Path) -> Iterator[tuple[str, list[str]]]:
         yield _require_str(obj, "id", path, lineno), _require_str_list(obj, "facets", path, lineno)
 
 
+def _number_list(raw: object) -> "np.ndarray | list | None":
+    """``raw`` if it is a JSON list of numbers (bools count), else None.
+
+    A flat list of bools, ints or floats is returned as one numpy array, so
+    the components are checked and converted in C; anything numpy cannot
+    type that way (nested or ragged lists, strings, nulls, integers beyond
+    64 bits) falls back to a per-item check.
+    """
+    if not isinstance(raw, list):
+        return None
+    try:
+        array = np.asarray(raw)
+    except (ValueError, TypeError, OverflowError):
+        array = None
+    if array is not None and array.ndim == 1 and array.dtype.kind in "biuf":
+        return array
+    return raw if all(isinstance(x, (int, float)) for x in raw) else None
+
+
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load an embedding table from JSONL ({"id","vector"} per line).
 
@@ -325,13 +344,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     dim: int | None = None
     for lineno, obj in iter_jsonl(path):
         key = _require_str(obj, "id", path, lineno)
-        raw = _require(obj, "vector", path, lineno)
-        if not isinstance(raw, list) or not all(isinstance(x, (int, float)) for x in raw):
+        vector = _number_list(_require(obj, "vector", path, lineno))
+        if vector is None:
             raise DataError(f"{path}: line {lineno}: 'vector' must be a list of numbers")
         if key in ids:
             raise DataError(f"{path}: line {lineno}: duplicate embedding id {key!r}")
         try:
-            vec = _check_vector(key, raw, dim)
+            vec = _check_vector(key, vector, dim)
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
         dim = vec.shape[0]

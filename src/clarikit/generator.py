@@ -13,7 +13,9 @@ GeneratorRequest and returning a Clarification.
 
 from __future__ import annotations
 
+import heapq
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,40 +63,48 @@ def extractive_generate(request: GeneratorRequest) -> Clarification:
     Candidates are the unigrams and bigrams of the stopword-filtered
     evidence token streams, minus n-grams made up entirely of query tokens.
     Each candidate scores occurrence count times the number of distinct
-    evidence texts containing it; ties go to the earlier first occurrence.
-    Faithful by construction: every emitted facet appears contiguously in
-    some evidence text's normalized token stream.
+    evidence texts containing it; ties go to the earlier first occurrence,
+    ordered by (text, position, length), so a unigram precedes the bigram
+    that starts at the same position.  Faithful by construction: every
+    emitted facet appears contiguously in some evidence text's normalized
+    token stream.
+
+    Cost: linear in the evidence tokens (two ``Counter`` updates per text)
+    plus a top-``max_facets`` selection over the distinct candidates.
     """
     if not request.evidence_texts:
         raise GeneratorError("no evidence")
     query_tokens = set(normalize(request.query))
 
-    counts: dict[tuple[str, ...], int] = {}
-    docs: dict[tuple[str, ...], set[int]] = {}
-    first_seen: dict[tuple[str, ...], tuple[int, int, int]] = {}
-
-    def record(gram: tuple[str, ...], doc_idx: int, tok_idx: int) -> None:
-        if all(tok in query_tokens for tok in gram):
-            return
-        counts[gram] = counts.get(gram, 0) + 1
-        docs.setdefault(gram, set()).add(doc_idx)
-        first_seen.setdefault(gram, (doc_idx, tok_idx, len(gram)))
-
-    for doc_idx, text in enumerate(request.evidence_texts):
+    # A unigram is its token, a bigram a 2-tuple; tokens hold no whitespace,
+    # so " ".join tells them apart.  ``counts`` keeps first-insertion order,
+    # and each text's grams go in by position with the unigram first, so
+    # iterating ``counts`` visits grams in first-seen order.
+    counts: Counter[str | tuple[str, str]] = Counter()
+    docs: Counter[str | tuple[str, str]] = Counter()
+    for text in request.evidence_texts:
         tokens = normalize(text, drop_stopwords=True)
-        for tok_idx, token in enumerate(tokens):
-            record((token,), doc_idx, tok_idx)
-            if tok_idx + 1 < len(tokens):
-                record((token, tokens[tok_idx + 1]), doc_idx, tok_idx)
+        grams: list = [None] * max(2 * len(tokens) - 1, 0)
+        grams[::2] = tokens
+        grams[1::2] = zip(tokens, tokens[1:])
+        counts.update(grams)
+        docs.update(set(grams))
 
+    # Drop the query-only candidates: the query unigrams and the bigrams
+    # over them, enumerated from whichever side is smaller.
+    present = query_tokens.intersection(counts)
+    if len(present) ** 2 <= len(counts):
+        pairs = [(a, b) for a in present for b in present]
+    else:
+        pairs = [g for g in counts if type(g) is tuple and present.issuperset(g)]
+    for gram in [*present, *pairs]:
+        counts.pop(gram, None)
     if not counts:
         raise GeneratorError("no candidates")
 
-    ranked = sorted(
-        counts,
-        key=lambda gram: (-counts[gram] * len(docs[gram]), first_seen[gram]),
-    )
-    facets = tuple(" ".join(gram) for gram in ranked[: request.max_facets])
+    # Stable, so equal scores keep first-seen order.
+    ranked = heapq.nsmallest(request.max_facets, counts, key=lambda g: -counts[g] * docs[g])
+    facets = tuple(g if type(g) is str else " ".join(g) for g in ranked)
     question = DEFAULT_QUESTION if request.emit_question else None
     return Clarification(question=question, facets=facets)
 

@@ -4,7 +4,7 @@ import json
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clarikit import corpus as corpus_module
 from clarikit.corpus import (
@@ -260,6 +260,56 @@ class TestLoadEmbeddings:
         )
         with pytest.raises(DataError, match="duplicate"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "vector", ['[1, "2"]', "[1, null]", "[[1, 2]]", "[[1], [1, 2]]", '"12"', '{"a": 1}']
+    )
+    def test_non_number_vector_rejected(self, tmp_path, vector):
+        path = self.write(tmp_path, ['{"id":"d1","vector":%s}' % vector])
+        with pytest.raises(DataError, match="line 1: 'vector' must be a list of numbers"):
+            load_embeddings(path)
+
+    def test_bools_and_wide_integers_accepted(self, tmp_path):
+        # JSON booleans are ints to Python; integers beyond 64 bits have no
+        # numpy integer type and take the per-item check.
+        path = self.write(
+            tmp_path,
+            ['{"id":"d1","vector":[true, 0, 2.5]}', '{"id":"d2","vector":[%d, -1, 0]}' % 2**70],
+        )
+        table = load_embeddings(path)
+        assert table.matrix.tolist() == [[1.0, 0.0, 2.5], [float(2**70), -1.0, 0.0]]
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-(2**70), 2**70),
+                st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63) - 1]),
+                st.floats(allow_nan=False),
+                st.booleans(),
+                st.none(),
+                st.text(max_size=2),
+                st.lists(st.integers(0, 3), max_size=2),
+            ),
+            max_size=4,
+        )
+    )
+    def test_vector_check_matches_per_item_oracle(self, tmp_path_factory, vector):
+        line = json.dumps({"id": "d1", "vector": vector})
+        path = self.write(tmp_path_factory.mktemp("emb"), [line])
+        if not all(isinstance(x, (int, float)) for x in vector):
+            expected = "'vector' must be a list of numbers"
+        else:
+            try:
+                expected_vec = EmbeddingTable.from_dict({"d1": vector}).vector("d1")
+            except DataError as exc:
+                expected = str(exc)
+            else:
+                assert load_embeddings(path).vector("d1").tobytes() == expected_vec.tobytes()
+                return
+        with pytest.raises(DataError) as err:
+            load_embeddings(path)
+        assert str(err.value).endswith(expected)
 
     def test_unknown_key_errors(self, tmp_path):
         path = self.write(tmp_path, ['{"id":"d1","vector":[1,0]}'])

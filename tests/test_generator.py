@@ -8,11 +8,68 @@ from clarikit.corpus import normalize
 from clarikit.errors import GeneratorError, RetriableGeneratorError
 from clarikit.generator import (
     DEFAULT_QUESTION,
+    Clarification,
     GeneratorRequest,
     extractive_generate,
     fuse_round_robin,
     remote_generate,
 )
+
+
+def extractive_oracle(request: GeneratorRequest) -> Clarification:
+    """The per-gram loop ``extractive_generate`` was first written as."""
+    if not request.evidence_texts:
+        raise GeneratorError("no evidence")
+    query_tokens = set(normalize(request.query))
+
+    counts: dict[tuple[str, ...], int] = {}
+    docs: dict[tuple[str, ...], set[int]] = {}
+    first_seen: dict[tuple[str, ...], tuple[int, int, int]] = {}
+
+    def record(gram: tuple[str, ...], doc_idx: int, tok_idx: int) -> None:
+        if all(tok in query_tokens for tok in gram):
+            return
+        counts[gram] = counts.get(gram, 0) + 1
+        docs.setdefault(gram, set()).add(doc_idx)
+        first_seen.setdefault(gram, (doc_idx, tok_idx, len(gram)))
+
+    for doc_idx, text in enumerate(request.evidence_texts):
+        tokens = normalize(text, drop_stopwords=True)
+        for tok_idx, token in enumerate(tokens):
+            record((token,), doc_idx, tok_idx)
+            if tok_idx + 1 < len(tokens):
+                record((token, tokens[tok_idx + 1]), doc_idx, tok_idx)
+
+    if not counts:
+        raise GeneratorError("no candidates")
+
+    ranked = sorted(
+        counts,
+        key=lambda gram: (-counts[gram] * len(docs[gram]), first_seen[gram]),
+    )
+    facets = tuple(" ".join(gram) for gram in ranked[: request.max_facets])
+    question = DEFAULT_QUESTION if request.emit_question else None
+    return Clarification(question=question, facets=facets)
+
+
+def _outcome(generate, request):
+    """The clarification, or the message of the GeneratorError raised."""
+    try:
+        return generate(request)
+    except GeneratorError as exc:
+        return str(exc)
+
+
+# Words as they may appear in raw text: case and punctuation noise, two
+# stopwords (so some texts are empty once they are dropped), and a
+# non-ASCII letter whose case folds.
+_NOISY_WORD = st.builds(
+    lambda word, upper, punct: (word.upper() if upper else word) + punct,
+    st.sampled_from(["red", "blue", "x", "cast", "café", "the", "and"]),
+    st.booleans(),
+    st.sampled_from(["", "", ",", "!", "'s", "-"]),
+)
+_TEXT = st.lists(_NOISY_WORD, min_size=0, max_size=7).map(" ".join)
 
 
 class TestExtractive:
@@ -94,6 +151,57 @@ class TestExtractive:
     def test_invalid_max_facets(self):
         with pytest.raises(ValueError):
             GeneratorRequest(query="q", evidence_texts=("a",), max_facets=0)
+
+    def test_query_bigrams_dropped_in_both_orders(self):
+        req = GeneratorRequest(
+            query="red blue", evidence_texts=("red blue x", "blue red x"), max_facets=5
+        )
+        # Left after dropping red, blue, "red blue" and "blue red":
+        # x (2 occurrences x 2 texts = 4), then "blue x" and "red x" at 1,
+        # in first-seen order.
+        assert extractive_generate(req).facets == ("x", "blue x", "red x")
+
+    def test_earlier_bigram_beats_later_unigram_on_equal_score(self):
+        req = GeneratorRequest(
+            query="alpha",
+            evidence_texts=("alpha beta", "alpha beta", "gamma", "gamma"),
+            max_facets=2,
+        )
+        # "alpha beta", beta and gamma all score 2 x 2 = 4; the bigram is
+        # first seen in text 0 at position 0, before beta (position 1) and
+        # gamma (text 2).
+        assert extractive_generate(req).facets == ("alpha beta", "beta")
+
+    def test_all_query_grams_have_no_candidates(self):
+        req = GeneratorRequest(
+            query="red blue", evidence_texts=("red blue red", "Blue, RED!", "the red")
+        )
+        with pytest.raises(GeneratorError, match="no candidates"):
+            extractive_generate(req)
+
+    def test_long_query_drops_its_bigrams(self):
+        # Four query tokens occur in the evidence, and 4 x 4 pairs outnumber
+        # the 11 distinct grams, so the query-only bigrams are found by
+        # scanning the grams.  Left: x (2 x 2 = 4), then "q4 x" and "x q2"
+        # at 1, in first-seen order; "q2 q1" goes like "q1 q2".
+        query = " ".join(f"q{i}" for i in range(20))
+        req = GeneratorRequest(query=query, evidence_texts=("q1 q2 q3 q4 x", "x q2 q1"))
+        assert extractive_generate(req).facets == ("x", "q4 x", "x q2")
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        st.lists(_TEXT, min_size=0, max_size=5),
+        st.booleans(),
+        st.lists(_NOISY_WORD, min_size=0, max_size=8).map(" ".join),
+        st.integers(min_value=1, max_value=12),
+        st.booleans(),
+    )
+    def test_matches_oracle(self, texts, repeat, query, max_facets, emit_question):
+        # Repeating the texts in reverse order makes exact count x docs ties
+        # across texts.
+        evidence = tuple(texts + texts[::-1]) if repeat else tuple(texts)
+        req = GeneratorRequest(query, evidence, max_facets, emit_question)
+        assert _outcome(extractive_generate, req) == _outcome(extractive_oracle, req)
 
 
 class TestRemote:
