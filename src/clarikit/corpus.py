@@ -140,7 +140,10 @@ class ClarificationInstance:
 
 def _check_vector(key: str, value: "list[float] | np.ndarray", dim: int | None) -> np.ndarray:
     """The embedding contract: a non-empty, flat, finite vector of the table's dimension."""
-    vec = np.asarray(value, dtype=np.float64)
+    try:
+        vec = np.asarray(value, dtype=np.float64)
+    except OverflowError:  # a JSON integer beyond float range
+        raise DataError(f"embedding for {key!r} holds a number beyond float range") from None
     if vec.ndim != 1:
         raise DataError(f"embedding for {key!r} is not a flat vector")
     if vec.shape[0] == 0:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -160,37 +159,61 @@ def _transpose(
     return t_offsets, rows[order], vals[order]
 
 
+class _TermIds(dict):
+    """term -> id, where looking up a new term gives it the next id."""
+
+    def __missing__(self, term: str) -> int:
+        self[term] = term_id = len(self)
+        return term_id
+
+
 def build_inverted_index(corpus: Corpus) -> InvertedIndex:
+    """Index ``corpus``; term ids are given in first-seen token order.
+
+    Every token becomes one key ``term * n_docs + ordinal``.  After one sort
+    the keys are grouped by term, then by document, and each run of equal
+    keys is one posting whose length is its tf.  Equal keys are
+    indistinguishable, so the result does not depend on the sort algorithm.
+    """
     if len(corpus) == 0:
         raise DataError("cannot index an empty corpus")
-    term_ids: dict[str, int] = {}  # ids in first-seen order
-    row_terms = array("i")
-    row_tfs = array("i")
-    row_sizes = array("q")
-    lengths: list[int] = []
+    term_ids = _TermIds()
+    stream = array("i")  # the term id of every token, document by document
+    lengths = array("q")
     for doc in corpus.docs:
         tokens = normalize(doc.text)
         lengths.append(len(tokens))
-        counts = Counter(tokens)
-        row_terms.extend([term_ids.setdefault(t, len(term_ids)) for t in counts])
-        row_tfs.extend(counts.values())
-        row_sizes.append(len(counts))
-    row_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(np.frombuffer(row_sizes, dtype=np.int64), out=row_offsets[1:])
-    offsets, ordinals, tfs = _transpose(
-        row_offsets,
-        np.frombuffer(row_terms, dtype=np.int32),
-        np.frombuffer(row_tfs, dtype=np.int32),
-        len(term_ids),
-    )
+        stream.extend(map(term_ids.__getitem__, tokens))
+    n_docs, n_tokens = len(lengths), len(stream)
+    doc_lengths = np.array(lengths, dtype=np.int64)
+    # Term ids and ordinals are int32, so every key is below 2**62.
+    keys = np.multiply(np.frombuffer(stream, dtype=np.int32), n_docs, dtype=np.int64)
+    del stream
+    keys += np.repeat(np.arange(n_docs, dtype=np.int32), doc_lengths)
+    keys.sort()
+    run_start = np.empty(n_tokens, dtype=bool)
+    run_start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    first = np.flatnonzero(run_start)
+    del run_start
+    tfs = np.empty(len(first), dtype=np.int32)
+    np.subtract(first[1:], first[:-1], out=tfs[:-1], casting="unsafe")
+    tfs[-1:] = n_tokens - first[-1:]
+    keys = keys[first]
+    del first
+    ordinals = np.empty(len(keys), dtype=np.int32)
+    np.remainder(keys, n_docs, out=ordinals, casting="unsafe")
+    keys //= n_docs
+    offsets = np.zeros(len(term_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=len(term_ids)), out=offsets[1:])
     return InvertedIndex(
-        term_ids=term_ids,
+        term_ids=dict(term_ids),  # a plain dict: looking up an unknown term inserts nothing
         offsets=offsets,
         ordinals=ordinals,
         tfs=tfs,
-        doc_lengths=np.array(lengths, dtype=np.int64),
+        doc_lengths=doc_lengths,
         doc_ids=tuple(d.id for d in corpus.docs),
-        avg_doc_len=sum(lengths) / len(lengths),
+        avg_doc_len=n_tokens / n_docs,
     )
 
 

@@ -263,6 +263,20 @@ class TestEvaluate:
             == 0
         )
 
+    def test_embedding_beyond_float_range_exits_2(self, tmp_path, capsys):
+        emb_path = tmp_path / "embeddings.jsonl"
+        write_jsonl(
+            emb_path, [{"id": "windows", "vector": [1, 0]}, {"id": "mac", "vector": [1, 10**400]}]
+        )
+        gen_path, truth_path = tmp_path / "generated.jsonl", tmp_path / "truth.jsonl"
+        write_jsonl(gen_path, [{"id": "q1", "facets": ["windows"]}])
+        write_jsonl(truth_path, [{"id": "q1", "query": "os", "question": None, "facets": ["mac"]}])
+        out = tmp_path / "scores.jsonl"
+        argv = ["evaluate", "--generated", str(gen_path), "--truth", str(truth_path)]
+        assert main([*argv, "--embeddings", str(emb_path), "--out", str(out)]) == 2
+        assert "data error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def _evaluate(self, tmp_path, generated, truth):
         gen_path, truth_path = tmp_path / "generated.jsonl", tmp_path / "truth.jsonl"
         write_jsonl(gen_path, [{"id": i, "facets": f} for i, f in generated])

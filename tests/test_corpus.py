@@ -254,6 +254,16 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match="non-finite"):
             EmbeddingTable.from_dict({"d1": [1.0, float("inf")]})
 
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        big = 10**400
+        path = self.write(
+            tmp_path, ['{"id":"d1","vector":[1,0]}', '{"id":"d2","vector":[1,%d]}' % big]
+        )
+        with pytest.raises(DataError, match="line 2: embedding for 'd2' holds a number beyond"):
+            load_embeddings(path)
+        with pytest.raises(DataError, match="beyond float range"):
+            EmbeddingTable.from_dict({"d1": [1.0, big]})
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = self.write(
             tmp_path, ['{"id":"d1","vector":[1,0]}', '{"id":"d1","vector":[0,1]}']

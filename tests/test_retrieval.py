@@ -17,6 +17,7 @@ from clarikit.corpus import ClarificationInstance, Corpus, Document, EmbeddingTa
 from clarikit.errors import DataError
 from clarikit.retrieval import (
     EvidencePool,
+    InvertedIndex,
     PoolEntry,
     RetrievalConfig,
     ScoredDoc,
@@ -35,6 +36,7 @@ from clarikit.retrieval import (
     save_index,
     tfidf_similarity,
 )
+from clarikit.retrieval import _transpose
 
 
 def round_robin_oracle(lists, max_items):
@@ -89,6 +91,47 @@ def tfidf_cosine_oracle(texts: dict[str, str], a: str, b: str) -> float:
     return dot / (norm_a * norm_b)
 
 
+def index_oracle(corpus: Corpus) -> InvertedIndex:
+    """The per-document build: one Counter per document, then a stable transpose."""
+    term_ids: dict[str, int] = {}  # ids in first-seen order
+    row_terms, row_tfs, row_sizes, lengths = [], [], [], []
+    for doc in corpus.docs:
+        tokens = normalize(doc.text)
+        lengths.append(len(tokens))
+        counts = Counter(tokens)
+        row_terms.extend(term_ids.setdefault(t, len(term_ids)) for t in counts)
+        row_tfs.extend(counts.values())
+        row_sizes.append(len(counts))
+    row_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(row_sizes, out=row_offsets[1:])
+    offsets, ordinals, tfs = _transpose(
+        row_offsets,
+        np.array(row_terms, dtype=np.int32),
+        np.array(row_tfs, dtype=np.int32),
+        len(term_ids),
+    )
+    return InvertedIndex(
+        term_ids=term_ids,
+        offsets=offsets,
+        ordinals=ordinals,
+        tfs=tfs,
+        doc_lengths=np.array(lengths, dtype=np.int64),
+        doc_ids=tuple(d.id for d in corpus.docs),
+        avg_doc_len=sum(lengths) / len(lengths),
+    )
+
+
+# Words with case and Unicode noise that normalize folds together or splits
+# (İ lowercases to two code points, ß and ς stay distinct), and
+# punctuation-only pieces that yield no token at all.
+_NOISY_PIECES = "ant Ant ANT bee café CAFÉ straße İx σ Σ ς ant,bee don't x ... ?! «» — ¿".split()
+noisy_corpora = st.lists(
+    st.lists(st.sampled_from(_NOISY_PIECES), min_size=1, max_size=12).map(" ".join),
+    min_size=1,
+    max_size=40,
+).map(lambda docs: {f"doc{i:02d}": text for i, text in enumerate(docs)})
+
+
 # Small corpora over a 3-5 word vocabulary, so that many documents tie.
 # Ids run against ordinal order, so ties must break on the id itself.
 _WORDS = ("ant", "bee", "cat", "dog", "eel")
@@ -116,6 +159,39 @@ class TestInvertedIndex:
         assert postings_of(index, "a") == [(0, 2)]
         assert postings_of(index, "b") == [(0, 1)]
         assert index.doc_lengths.tolist() == [3]
+
+    def test_repeated_term_is_one_posting(self):
+        index = build_inverted_index(corpus_of({"d": "a a a"}))
+        assert postings_of(index, "a") == [(0, 3)]
+        assert index.offsets.tolist() == [0, 1]
+
+    def test_term_first_seen_in_the_last_document_gets_the_last_id(self):
+        index = build_inverted_index(corpus_of({"d1": "b a", "d2": "a c b", "d3": "a z"}))
+        assert list(index.term_ids.items()) == [("b", 0), ("a", 1), ("c", 2), ("z", 3)]
+        assert postings_of(index, "z") == [(2, 1)]
+
+    def test_corpus_without_tokens(self):
+        index = build_inverted_index(corpus_of({"d": "...", "e": "?!"}))
+        assert index.term_count == 0
+        assert index.offsets.tolist() == [0]
+        assert index.doc_lengths.tolist() == [0, 0]
+        assert index.avg_doc_len == 0.0
+        assert bm25_retrieve(index, "x", 3) == []
+
+    @settings(deadline=None, max_examples=200)
+    @given(texts=noisy_corpora)
+    def test_build_matches_per_document_oracle(self, texts):
+        corpus = corpus_of(texts)
+        index, expected = build_inverted_index(corpus), index_oracle(corpus)
+        assert type(index.term_ids) is dict
+        assert list(index.term_ids.items()) == list(expected.term_ids.items())
+        for name in ("offsets", "ordinals", "tfs", "doc_lengths"):
+            got, want = getattr(index, name), getattr(expected, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+        assert index.avg_doc_len == expected.avg_doc_len
+        assert index_to_dict(index) == index_to_dict(expected)
 
     def test_shared_term_two_entries(self):
         index = build_inverted_index(corpus_of({"d1": "x y", "d2": "x z"}))
@@ -304,6 +380,11 @@ class TestDenseRetrieve:
         table = EmbeddingTable.from_dict({"d1": [1, 0]})
         with pytest.raises(DataError, match="dimension"):
             dense_retrieve(table, [1, 0, 0], k=1)
+
+    def test_query_beyond_float_range_is_data_error(self):
+        table = EmbeddingTable.from_dict({"d1": [1, 0]})
+        with pytest.raises(DataError, match="beyond float range"):
+            dense_retrieve(table, [10**400, 0], k=1)
 
     def test_deterministic(self):
         table = EmbeddingTable.from_dict({"a": [0.5, 0.1], "b": [0.4, 0.9]})
