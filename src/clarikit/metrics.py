@@ -12,8 +12,13 @@ normalization (see :func:`clarikit.corpus.normalize`):
 
 All four read one comparison: each facet is tokenized once, one table holds
 BLEU-1..4 per (generated, truth) pair, and one assignment is solved on its
-BLEU-1 column.  A punctuation-only facet normalizes to "" and earns no
-exact-match and no indicator Set-Sim credit.
+BLEU-1 column.  A facet counts its order-k n-grams only when a cell first
+reads them: a cell reads order k only when both facets have at least k
+tokens, and a cell with no shared unigram reads no higher order.  Set-Sim
+hands the canonical text straight to the lookup inside table_embedder and
+indicator_embedder, since normalizing it again would give it back.  A
+punctuation-only facet normalizes to "" and earns no exact-match and no
+indicator Set-Sim credit.
 
 Pair matching forms min(|F|, |G|) pairs maximizing total BLEU-1.  A total
 is the math.fsum of its scores (the exact sum rounded once), totals are
@@ -24,7 +29,9 @@ compared after rounding, and ties go to the lexicographically smallest
 at exactly 1.0 and wins.  The matcher is an exact dynamic program over
 (generated row, set of used truth columns) with at most
 |F| * sum(C(|G|, k) for k <= min(|F|, |G|)) states: still exponential
-when both lists are long.
+when both lists are long.  Its subset masks are memoised per
+(|G|, min(|F|, |G|)) for |G| <= 10, about 0.3 MB when every such shape
+has been seen.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,36 +158,64 @@ _NO_BLEU = (0.0, 0.0, 0.0, 0.0)
 class _Facet:
     """One facet, tokenized once: its tokens, canonical text and n-gram counts."""
 
+    __slots__ = ("raw", "tokens", "text", "_grams")
+
     def __init__(self, raw: str):
         self.raw = raw
         self.tokens = normalize(raw)
         self.text = " ".join(self.tokens)
+        self._grams: list[Counter] = []
 
-    @cached_property
-    def grams(self) -> list[Counter]:
-        tokens = self.tokens
-        return [Counter(zip(*(tokens[k:] for k in range(order)))) for order in range(1, 5)]
+    def grams(self, order: int) -> Counter:
+        """Counts of the facet's n-grams of this order, built on first read."""
+        grams, tokens = self._grams, self.tokens
+        while len(grams) < order:
+            k = len(grams) + 1
+            # Unigrams are counted as plain tokens, longer n-grams as tuples.
+            grams.append(Counter(tokens if k == 1 else zip(*(tokens[i:] for i in range(k)))))
+        return grams[order - 1]
 
 
 def _bleu(cand: _Facet, ref: _Facet) -> tuple[float, float, float, float]:
-    """Sentence BLEU of orders 1..4 in one pass (see :func:`bleu_n`)."""
+    """Sentence BLEU of orders 1..4 in one pass (see :func:`bleu_n`).
+
+    Order k is counted only when both facets have at least k tokens; a
+    shorter facet has no k-grams, so that order matches nothing.  A cell
+    with no shared unigram returns before any higher order is built.
+    """
     c, r = len(cand.tokens), len(ref.tokens)
-    if not c:
+    matches = _matches(cand, ref, 1) if c and r else 0
+    if not matches:
         return _NO_BLEU
     bp = math.exp(1 - r / c) if c < r else 1.0
-    scores = []
-    log_sum = 0.0
-    for order, (grams, ref_grams) in enumerate(zip(cand.grams, ref.grams), 1):
-        matches = sum(min(count, ref_grams[gram]) for gram, count in grams.items())
-        if order == 1:
-            if matches == 0:
-                return _NO_BLEU
-            precision = matches / c
-        else:
-            precision = (matches + 1) / (max(c - order + 1, 1) + 1)
-        log_sum += math.log(precision)
+    log_sum = math.log(matches / c)
+    scores = [bp * math.exp(log_sum)]
+    shared = min(c, r)
+    for order in (2, 3, 4):
+        matches = _matches(cand, ref, order) if order <= shared else 0
+        log_sum += math.log((matches + 1) / (max(c - order + 1, 1) + 1))
         scores.append(bp * math.exp(log_sum / order))
     return (scores[0], scores[1], scores[2], scores[3])
+
+
+def _matches(cand: _Facet, ref: _Facet, order: int) -> int:
+    """Clipped count of the candidate's n-grams of this order found in the reference."""
+    ref_grams = ref.grams(order)
+    return sum(min(count, ref_grams[gram]) for gram, count in cand.grams(order).items())
+
+
+# Subset masks are memoised for truth lists up to this length only, which
+# bounds the memo at 55 entries (about 0.3 MB); longer lists recompute them.
+_MEMO_MAX_TRUTH = 10
+
+
+@lru_cache(maxsize=None)
+def _subset_masks(n: int, n_pairs: int) -> tuple[tuple[int, ...], ...]:
+    """Bit masks of the k-subsets of n columns, in combinations order, for k <= n_pairs."""
+    return tuple(
+        tuple(sum(1 << t for t in cols) for cols in itertools.combinations(range(n), k))
+        for k in range(n_pairs + 1)
+    )
 
 
 def _best_pairs(score: list[list[float]]) -> list[tuple[int, int]]:
@@ -199,10 +234,8 @@ def _best_pairs(score: list[list[float]]) -> list[tuple[int, int]]:
     ratios = [[value.as_integer_ratio() for value in row] for row in score]
     scale = max(den for row in ratios for _, den in row)
     gain = [[num * (scale // den) for num, den in row] for row in ratios]
-    masks = [
-        [sum(1 << t for t in cols) for cols in itertools.combinations(range(n), k)]
-        for k in range(n_pairs + 1)
-    ]
+    subsets = _subset_masks if n <= _MEMO_MAX_TRUTH else _subset_masks.__wrapped__
+    masks = subsets(n, n_pairs)
     best = [{} for _ in range(m)] + [dict.fromkeys(masks[n_pairs], 0)]
     for i in range(m - 1, -1, -1):
         row, later = best[i], best[i + 1]
@@ -308,8 +341,11 @@ def _overlap(generated: set[str], truth: set[str]) -> PRF:
 
 
 def _embed(embedder: Embedder, facet: _Facet) -> "np.ndarray | Sequence[float]":
+    # The embedders made here also carry a lookup by canonical text, which
+    # facet.text already is, so it is not normalized a second time.
+    lookup = getattr(embedder, "_lookup", embedder)
     try:
-        return embedder(facet.text)
+        return lookup(facet.text)
     except Exception as exc:
         raise DataError(f"embedder failed for facet {facet.raw!r}: {exc}") from exc
 
@@ -368,13 +404,17 @@ def indicator_embedder(*facet_lists: Sequence[str]) -> Embedder:
     position = {text: i for i, text in enumerate(vocab)}
     dim = max(len(vocab), 1)
 
-    def embed(text: str) -> np.ndarray:
+    def lookup(text: str) -> np.ndarray:
         vec = np.zeros(dim, dtype=np.float64)
-        idx = position.get(normalized_facet(text))
+        idx = position.get(text)
         if idx is not None:
             vec[idx] = 1.0
         return vec
 
+    def embed(text: str) -> np.ndarray:
+        return lookup(normalized_facet(text))
+
+    embed._lookup = lookup
     return embed
 
 
@@ -384,6 +424,7 @@ def table_embedder(table) -> Embedder:
     def embed(text: str) -> np.ndarray:
         return table.vector(normalized_facet(text))
 
+    embed._lookup = table.vector
     return embed
 
 

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clarikit.metrics as metrics_module
+from clarikit.corpus import normalize
 from clarikit.errors import DataError
 from clarikit.metrics import (
     PRF,
@@ -15,6 +18,7 @@ from clarikit.metrics import (
     indicator_embedder,
     match_facet_pairs,
     mean_report,
+    normalized_facet,
     set_bleu,
     set_sim,
     table_embedder,
@@ -64,6 +68,100 @@ def set_sim_from_pairs(generated, truth, pairs, embedder):
     ]
     total = math.fsum(sims)
     return PRF.from_pr(total / len(generated), total / len(truth))
+
+
+def eager_bleu(candidate, reference):
+    """Sentence BLEU-1..4 with all four n-gram orders counted up front."""
+    cand, ref = normalize(candidate), normalize(reference)
+    cand_grams, ref_grams = (
+        [Counter(zip(*(tokens[k:] for k in range(order)))) for order in range(1, 5)]
+        for tokens in (cand, ref)
+    )
+    c, r = len(cand), len(ref)
+    if not c:
+        return (0.0, 0.0, 0.0, 0.0)
+    bp = math.exp(1 - r / c) if c < r else 1.0
+    scores = []
+    log_sum = 0.0
+    for order, (grams, other) in enumerate(zip(cand_grams, ref_grams), 1):
+        matches = sum(min(count, other[gram]) for gram, count in grams.items())
+        if order == 1:
+            if matches == 0:
+                return (0.0, 0.0, 0.0, 0.0)
+            precision = matches / c
+        else:
+            precision = (matches + 1) / (max(c - order + 1, 1) + 1)
+        log_sum += math.log(precision)
+        scores.append(bp * math.exp(log_sum / order))
+    return tuple(scores)
+
+
+def uncached_best_pairs(score):
+    """The matcher's dynamic program with its subset masks rebuilt on every call."""
+    m, n = len(score), len(score[0])
+    n_pairs = min(m, n)
+    ratios = [[value.as_integer_ratio() for value in row] for row in score]
+    scale = max(den for row in ratios for _, den in row)
+    gain = [[num * (scale // den) for num, den in row] for row in ratios]
+    masks = [
+        [sum(1 << t for t in cols) for cols in itertools.combinations(range(n), k)]
+        for k in range(n_pairs + 1)
+    ]
+    best = [{} for _ in range(m)] + [dict.fromkeys(masks[n_pairs], 0)]
+    for i in range(m - 1, -1, -1):
+        row, later = best[i], best[i + 1]
+        for k in range(max(0, n_pairs - (m - i)), min(i, n_pairs) + 1):
+            can_skip = m - i - 1 >= n_pairs - k
+            for mask in masks[k]:
+                top = later[mask] if can_skip else -1
+                if k < n_pairs:
+                    for t, value in enumerate(gain[i]):
+                        if not mask >> t & 1:
+                            total = value + later[mask | 1 << t]
+                            if total > top:
+                                top = total
+                row[mask] = top
+
+    target = best[0][0] / scale
+    pairs = []
+    mask = prefix = 0
+    for i in range(m):
+        if len(pairs) == n_pairs:
+            break
+        for t, value in enumerate(gain[i]):
+            if mask >> t & 1:
+                continue
+            if (prefix + value + best[i + 1][mask | 1 << t]) / scale == target:
+                pairs.append((i, t))
+                mask |= 1 << t
+                prefix += value
+                break
+    return pairs
+
+
+# Facets of 0-8 tokens from a small mixed-case vocabulary (so tokens repeat),
+# each token followed by a space or punctuation and the whole wrapped in more:
+# with no tokens, a facet is empty, blank or punctuation-only ("...!", "¡ ").
+noisy_token_st = st.sampled_from(["red", "Red", "RED", "zip", "Zip", "code", "a", "b"])
+noisy_sep_st = st.sampled_from([" ", "  ", "-", ", ", "!?", " ... ", "\t"])
+noisy_facet_st = st.builds(
+    lambda pre, tokens, seps, post: pre + "".join(t + s for t, s in zip(tokens, seps)) + post,
+    st.sampled_from(["", " ", "...", "¡"]),
+    st.lists(noisy_token_st, max_size=8),
+    st.lists(noisy_sep_st, min_size=8, max_size=8),
+    st.sampled_from(["", "!", " "]),
+)
+noisy_list_st = st.lists(noisy_facet_st, min_size=1, max_size=4)
+
+# BLEU-1-like cell scores, with thirds whose fsum totals round into ties.
+cell_st = st.sampled_from([0.0, 0.0, 0.25, 1 / 3, 0.5, 0.5, 2 / 3, math.exp(-1), 1.0])
+
+
+@st.composite
+def score_matrix_st(draw):
+    m = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=8))
+    return [draw(st.lists(cell_st, min_size=n, max_size=n)) for _ in range(m)]
 
 
 class TestTermOverlap:
@@ -152,6 +250,38 @@ class TestBleuN:
     def test_in_unit_interval(self, cand, ref, n):
         assert 0.0 <= bleu_n(cand, ref, n) <= 1.0
 
+    @settings(max_examples=300)
+    @given(noisy_list_st, noisy_list_st)
+    def test_lazy_orders_match_eager_oracle(self, generated, truth):
+        # One comparison shares each facet's lazily built orders across its
+        # cells, so a facet first read at order 1 is later read at order 4.
+        table = metrics_module._Comparison(generated, truth).bleu
+        for f, row in zip(generated, table):
+            for g, cell in zip(truth, row):
+                assert cell == eager_bleu(f, g)
+
+    @pytest.mark.parametrize(
+        "cand, ref",
+        [
+            ("a b c d", "a b"),
+            ("a b", "a b c d"),
+            ("a a a a", "a a a a"),
+            ("Zip, zip", "zip-ZIP"),
+            ("zip code", "...!"),
+            ("", "zip code"),
+        ],
+    )
+    def test_short_facets_skip_higher_orders(self, cand, ref):
+        f, g = metrics_module._Facet(cand), metrics_module._Facet(ref)
+        assert metrics_module._bleu(f, g) == eager_bleu(cand, ref)
+        shared = min(len(f.tokens), len(g.tokens))
+        assert len(f._grams) == len(g._grams) == shared
+
+    def test_zero_unigram_cell_builds_no_higher_order(self):
+        f, g = metrics_module._Facet("alpha beta gamma"), metrics_module._Facet("delta omega")
+        assert metrics_module._bleu(f, g) == (0.0, 0.0, 0.0, 0.0)
+        assert len(f._grams) == len(g._grams) == 1
+
 
 class TestMatchFacetPairs:
     def test_single_positive_pair(self):
@@ -209,6 +339,30 @@ class TestMatchFacetPairs:
         got = match_facet_pairs(generated, truth)
         assert tuple((g, t) for g, t, _ in got.pairs) == expected
         assert math.fsum(s for _, _, s in got.pairs) == expected_total
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(score_matrix_st(), min_size=1, max_size=6))
+    def test_memoised_masks_match_uncached_oracle(self, matrices):
+        # Start from an empty memo and run the shapes twice, so entries made
+        # for one shape are read by later shapes with the same (n, n_pairs).
+        metrics_module._subset_masks.cache_clear()
+        for score in matrices + matrices[::-1]:
+            assert metrics_module._best_pairs(score) == uncached_best_pairs(score)
+
+    def test_long_truth_lists_are_not_memoised(self):
+        before = metrics_module._subset_masks.cache_info().currsize
+        for n in (11, 12):
+            got = match_facet_pairs(["red a0", "red a1"], [f"red b{i}" for i in range(n)])
+            assert got.pairs == ((0, 0, 0.5), (1, 1, 0.5))
+        assert metrics_module._subset_masks.cache_info().currsize == before
+
+    def test_ten_truth_facets_are_memoised(self):
+        truth = [f"red b{i}" for i in range(10)]
+        match_facet_pairs(["red a0", "red a1", "red a2"], truth)
+        hits = metrics_module._subset_masks.cache_info().hits
+        got = match_facet_pairs(["red a3", "red a4", "red a5"], truth)
+        assert got.pairs == ((0, 0, 0.5), (1, 1, 0.5), (2, 2, 0.5))
+        assert metrics_module._subset_masks.cache_info().hits == hits + 1
 
 
 class TestSetBleu:
@@ -270,6 +424,45 @@ class TestSetSim:
         table = EmbeddingTable.from_dict({"cast": [1.0, 0.0], "crew": [0.8, 0.6]})
         prf = set_sim(["cast"], ["crew"], table_embedder(table))
         assert prf.precision == pytest.approx(0.8)
+
+    def test_public_embedders_still_normalize(self):
+        from clarikit.corpus import EmbeddingTable
+
+        table = EmbeddingTable.from_dict({"zip code": [0.6, 0.8]})
+        assert table_embedder(table)("Zip-Code").tolist() == [0.6, 0.8]
+        indicator = indicator_embedder(["zip code", "cast"])
+        assert indicator("Zip-Code").tolist() == indicator("zip code").tolist() == [0.0, 1.0]
+
+    def test_each_facet_is_normalized_once(self, monkeypatch):
+        # Set-Sim looks the canonical text up directly, so an instance with
+        # either embedder normalizes each of its facets exactly once.
+        from clarikit.corpus import EmbeddingTable
+
+        calls = []
+
+        def counting_normalize(text, *args, **kwargs):
+            calls.append(text)
+            return normalize(text, *args, **kwargs)
+
+        f, g = ["Cast", "zip code", "crew!"], ["cast", "Zip-Code"]
+        table = EmbeddingTable.from_dict(
+            {"cast": [1.0, 0.0], "crew": [0.8, 0.6], "zip code": [0.0, 1.0]}
+        )
+        for embedder in (table_embedder(table), indicator_embedder(f, g)):
+            monkeypatch.setattr(metrics_module, "normalize", counting_normalize)
+            calls.clear()
+            report = evaluate_instance(f, g, embedder)
+            monkeypatch.undo()
+            assert sorted(calls) == sorted(f + g)
+            assert report.set_sim == set_sim_from_pairs(f, g, [(0, 0), (1, 1)], embedder)
+
+    def test_canonical_text_is_a_fixed_point(self):
+        # Why the direct lookup is exact: normalizing a canonical text again
+        # gives it back, for every code point between two letters.
+        for lo in range(0, 0x110000, 0x10000):
+            text = " ".join(f"a{chr(cp)}b" for cp in range(lo, lo + 0x10000))
+            canonical = normalized_facet(text)
+            assert normalized_facet(canonical) == canonical
 
 
 class TestEvaluateInstance:
