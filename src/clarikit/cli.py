@@ -21,7 +21,6 @@ from .harness import (
     _metric_csv_text,
     alignment_stats,
     evidence_size_sweep,
-    load_experiment_config,
     load_resources,
     loo_faithfulness,
     paired_bootstrap,
@@ -211,31 +210,12 @@ def cmd_evaluate(args) -> int:
     if args.embeddings:
         embedder = table_embedder(load_embeddings(args.embeddings))
 
-    # Stream the generated file with a read-ahead buffer: O(1) memory when
-    # the two files share id order, graceful otherwise.
-    gen_iter = iter_generated(args.generated)
-    buffered: dict[str, list[str]] = {}
-    exhausted = False
-
-    def facets_for(inst_id: str) -> list[str]:
-        nonlocal exhausted
-        if inst_id in buffered:
-            return buffered.pop(inst_id)
-        while not exhausted:
-            try:
-                gid, facets = next(gen_iter)
-            except StopIteration:
-                exhausted = True
-                break
-            if gid == inst_id:
-                return facets
-            buffered[gid] = facets
-        raise DataError(f"no generated facets for instance id {inst_id!r}")
-
-    rows = [
-        (inst.id, evaluate_instance(facets_for(inst.id), list(inst.facets), embedder))
-        for inst in truth
-    ]
+    generated = dict(iter_generated(args.generated))
+    rows = []
+    for inst in truth:
+        if inst.id not in generated:
+            raise DataError(f"no generated facets for instance id {inst.id!r}")
+        rows.append((inst.id, evaluate_instance(generated[inst.id], list(inst.facets), embedder)))
     mean = mean_report([report for _, report in rows])
     rows.append(("__mean__", mean))
     lines = [json.dumps({"instance_id": i, **r.to_flat_dict()}, sort_keys=True) for i, r in rows]
@@ -338,14 +318,14 @@ def cmd_taxonomy(args) -> int:
 def cmd_experiment(args) -> int:
     if args.parallelism is not None and args.parallelism < 1:
         raise _UsageError("--parallelism must be >= 1")
-    config = load_experiment_config(args.config)
-    report = run_experiment(args.config, parallelism=args.parallelism)
+    res = load_resources(args.config)
+    report = run_experiment(res, parallelism=args.parallelism)
     flat = report.mean.to_flat_dict()
     _emit(
         args,
         f"experiment {report.config_hash[:12]}: {report.evaluated_count} evaluated, "
         f"{report.skipped_count} skipped, exact_match_f1={flat['exact_match_f1']:.4f} "
-        f"-> {config['output_dir']}",
+        f"-> {res.config['output_dir']}",
         report.to_dict(),
     )
     return 0
@@ -394,10 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except GeneratorError as exc:

@@ -51,11 +51,14 @@ class _PunctMap(dict):
     """``str.translate`` table: punctuation code points -> space, others kept.
 
     Filled on demand from ``unicodedata.category`` and cached, so one table
-    serves all of Unicode.
+    serves all of Unicode.  It is emptied before it would pass ``2**16``
+    entries, so text over many scripts cannot grow it to all of Unicode.
     """
 
     def __missing__(self, code_point: int) -> str | int:
         mapped = " " if unicodedata.category(chr(code_point)).startswith("P") else code_point
+        if len(self) >= 2**16:
+            self.clear()
         self[code_point] = mapped
         return mapped
 
@@ -138,14 +141,32 @@ class ClarificationInstance:
     question: str | None = None
 
 
-def _check_vector(key: str, value: "list[float] | np.ndarray", dim: int | None) -> np.ndarray:
-    """The embedding contract: a non-empty, flat, finite vector of the table's dimension."""
+def _check_vector(key: str, value: object, dim: int | None) -> np.ndarray:
+    """The embedding contract: a flat list or array of numbers (bools count)
+    that is non-empty, finite and of the table's dimension.
+
+    Loaded rows, ``from_dict`` values and dense query vectors all pass it.
+    A flat list of bools, ints or floats becomes one numpy array, so its
+    components are checked and converted in C; a list that numpy cannot
+    type that way (nested or ragged lists, strings, nulls, integers beyond
+    64 bits) is checked item by item.
+    """
+    array = value
+    if isinstance(value, (list, tuple)):
+        try:
+            array = np.asarray(value)
+        except (ValueError, TypeError, OverflowError):
+            array = None
+    if not isinstance(array, np.ndarray) or array.ndim != 1 or array.dtype.kind not in "biuf":
+        if not isinstance(value, (list, tuple)) or not all(
+            isinstance(x, (int, float)) for x in value
+        ):
+            raise DataError("'vector' must be a list of numbers")
+        array = value
     try:
-        vec = np.asarray(value, dtype=np.float64)
+        vec = np.asarray(array, dtype=np.float64)
     except OverflowError:  # a JSON integer beyond float range
         raise DataError(f"embedding for {key!r} holds a number beyond float range") from None
-    if vec.ndim != 1:
-        raise DataError(f"embedding for {key!r} is not a flat vector")
     if vec.shape[0] == 0:
         raise DataError(f"embedding for {key!r} is empty")
     if dim is not None and vec.shape[0] != dim:
@@ -313,28 +334,18 @@ def load_instances(path: str | Path) -> list[ClarificationInstance]:
 
 
 def iter_generated(path: str | Path) -> Iterator[tuple[str, list[str]]]:
-    """Stream (id, facets) records from a generated-facets JSONL file."""
+    """Stream (id, facets) records from a generated-facets JSONL file; ids are unique."""
+    seen: dict[str, int] = {}
     for lineno, obj in iter_jsonl(path):
-        yield _require_str(obj, "id", path, lineno), _require_str_list(obj, "facets", path, lineno)
-
-
-def _number_list(raw: object) -> "np.ndarray | list | None":
-    """``raw`` if it is a JSON list of numbers (bools count), else None.
-
-    A flat list of bools, ints or floats is returned as one numpy array, so
-    the components are checked and converted in C; anything numpy cannot
-    type that way (nested or ragged lists, strings, nulls, integers beyond
-    64 bits) falls back to a per-item check.
-    """
-    if not isinstance(raw, list):
-        return None
-    try:
-        array = np.asarray(raw)
-    except (ValueError, TypeError, OverflowError):
-        array = None
-    if array is not None and array.ndim == 1 and array.dtype.kind in "biuf":
-        return array
-    return raw if all(isinstance(x, (int, float)) for x in raw) else None
+        gen_id = _require_str(obj, "id", path, lineno)
+        facets = _require_str_list(obj, "facets", path, lineno)
+        if gen_id in seen:
+            raise DataError(
+                f"{path}: line {lineno}: duplicate generated id {gen_id!r} "
+                f"(first seen on line {seen[gen_id]})"
+            )
+        seen[gen_id] = lineno
+        yield gen_id, facets
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
@@ -347,15 +358,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     dim: int | None = None
     for lineno, obj in iter_jsonl(path):
         key = _require_str(obj, "id", path, lineno)
-        vector = _number_list(_require(obj, "vector", path, lineno))
-        if vector is None:
-            raise DataError(f"{path}: line {lineno}: 'vector' must be a list of numbers")
-        if key in ids:
-            raise DataError(f"{path}: line {lineno}: duplicate embedding id {key!r}")
+        vector = _require(obj, "vector", path, lineno)
         try:
             vec = _check_vector(key, vector, dim)
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        if key in ids:
+            raise DataError(f"{path}: line {lineno}: duplicate embedding id {key!r}")
         dim = vec.shape[0]
         ids[key] = None
         rows.frombytes(vec.tobytes())

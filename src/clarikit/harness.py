@@ -75,7 +75,6 @@ __all__ = [
     "evidence_size_sweep",
     "taxonomy_analysis",
     "Resources",
-    "load_experiment_config",
     "load_resources",
     "run_experiment",
     "paired_bootstrap",
@@ -465,14 +464,6 @@ class ExperimentReport:
 _CONFIG_REQUIRED = ("corpus", "instances", "retrieval", "generator", "seed", "output_dir")
 
 
-def load_experiment_config(path: str | Path) -> dict:
-    """Load and validate an experiment config file, returning it as written."""
-    path = Path(path)
-    config = read_json_object(path, "config")
-    validate_experiment_config(config, base_dir=path.parent)
-    return config
-
-
 def validate_experiment_config(config: dict, base_dir: Path | None = None) -> dict[str, Path]:
     """Check a config without changing it; return its input files resolved
     against ``base_dir`` (the working directory by default)."""
@@ -627,7 +618,7 @@ def sweep_csv_text(report: SweepReport) -> str:
 
 
 def run_experiment(
-    config: dict | str | Path,
+    config: dict | str | Path | Resources,
     parallelism: int | None = None,
     write_outputs: bool = True,
 ) -> ExperimentReport:
@@ -642,8 +633,10 @@ def run_experiment(
     CPU count for a remote generator and 1 otherwise: threads overlap only
     the remote generator's network waits, while the rest of the work is
     pure Python and holds the interpreter lock.
+
+    ``config`` is what :func:`load_resources` takes, or its result.
     """
-    res = load_resources(config)
+    res = config if isinstance(config, Resources) else load_resources(config)
 
     def worker(
         inst: ClarificationInstance,

@@ -31,5 +31,5 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def atomic_write_json(path: str | Path, obj: object, indent: int | None = 2) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=indent) + "\n")
+def atomic_write_json(path: str | Path, obj: object) -> None:
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")

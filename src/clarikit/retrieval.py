@@ -501,18 +501,12 @@ def build_pool(
     )
 
     if use_mmr and merged:
-        candidates = [
-            ScoredDoc(doc_id=d.doc_id, score=d.score, rank=i + 1)
-            for i, d in enumerate(merged)
-        ]
         sim = (
             embedding_similarity(table)
             if config.mode == "dense"
             else tfidf_similarity(index)
         )
-        merged = mmr_rerank(
-            candidates, config.mmr_lambda, min(config.k, len(candidates)), sim
-        )
+        merged = mmr_rerank(merged, config.mmr_lambda, min(config.k, len(merged)), sim)
 
     entries = tuple(
         PoolEntry(

@@ -288,6 +288,54 @@ class TestEvaluate:
         argv = ["evaluate", "--generated", str(gen_path), "--truth", str(truth_path)]
         return main([*argv, "--out", str(out)]), out
 
+    @pytest.mark.parametrize("truth_order", [("a", "b"), ("b", "a")])
+    def test_repeated_generated_id_exits_2_naming_both_lines(
+        self, tmp_path, capsys, truth_order
+    ):
+        facets = {"a": ["green"], "b": ["red"]}
+        code, out = self._evaluate(
+            tmp_path,
+            [("b", ["red"]), ("b", ["blue"]), ("a", ["green"])],
+            [(i, "colors", facets[i]) for i in truth_order],
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 2: duplicate generated id 'b' (first seen on line 1)" in err
+        assert not out.exists()
+        assert not out.with_suffix(".csv").exists()
+
+    def test_repeated_id_outside_truth_exits_2(self, tmp_path, capsys):
+        code, out = self._evaluate(
+            tmp_path,
+            [("a", ["green"]), ("x", ["red"]), ("x", ["blue"])],
+            [("a", "colors", ["green"])],
+        )
+        assert code == 2
+        assert "line 3: duplicate generated id 'x' (first seen on line 2)" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_extra_generated_ids_are_ignored(self, tmp_path):
+        code, out = self._evaluate(
+            tmp_path,
+            [("x", ["red"]), ("a", ["green"])],
+            [("a", "colors", ["green"])],
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["instance_id"] for row in rows] == ["a", "__mean__"]
+
+    def test_malformed_line_after_last_needed_id_exits_2(self, tmp_path, capsys):
+        # The whole generated file is validated, not only up to the last id
+        # the truth file needs.
+        code, out = self._evaluate(
+            tmp_path, [("a", ["green"]), ("z", "red")], [("a", "colors", ["green"])]
+        )
+        assert code == 2
+        assert "line 2: 'facets' must be a list of strings" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_text_is_pinned(self, tmp_path):
         code, out = self._evaluate(
             tmp_path,
@@ -486,6 +534,21 @@ class TestExperimentAndBootstrap:
         assert code == 0
         result = json.loads(capsys.readouterr().out)
         assert result["mean_diff"] == 0.0
+
+    def test_experiment_validates_config_once(self, data, tmp_path, capsys, monkeypatch):
+        from clarikit import harness
+
+        calls = []
+        validate = harness.validate_experiment_config
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "validate_experiment_config", counting)
+        assert main(["experiment", "--config", str(data["config"])]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.rstrip("\n").endswith(f"-> {tmp_path / 'out'}")
 
     def test_experiment_missing_config(self, tmp_path):
         assert main(["experiment", "--config", str(tmp_path / "none.json")]) == 2

@@ -1,7 +1,9 @@
 """Loaders and the shared normalizer."""
 
 import json
+import sys
 import unicodedata
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +100,36 @@ class TestNormalize:
             expected = normalize_oracle(text)
             assert normalize(text) == expected
             assert normalize(text) == expected
+
+    def test_module_table_stays_bounded(self):
+        # Every code point through the module's own table, 1,024 per string:
+        # tokens stay those of the oracle while the table, a cache, is
+        # emptied before it passes 2**16 entries.
+        table = corpus_module._PUNCT_MAP
+        for lo in range(0, 0x110000, 1024):
+            text = " ".join(f"a{chr(cp)}b" for cp in range(lo, lo + 1024))
+            assert normalize(text) == normalize_oracle(text)
+            assert len(table) <= 2**16
+
+    def test_shared_table_under_threads(self):
+        # More threads than cores fill and empty the one module table at
+        # once; an entry lost to a concurrent clear is recomputed, so tokens
+        # stay those of the oracle.
+        blocks = [
+            " ".join(f"a{chr(cp)}b" for cp in range(lo, lo + 0x8000))
+            for lo in range(0x20000, 0xA0000, 0x8000)
+        ]
+        expected = [normalize_oracle(text) for text in blocks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(normalize, text) for text in blocks * 2]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 2
+        assert len(corpus_module._PUNCT_MAP) <= 2**16 + 8
 
 
 class TestLoadCorpus:
@@ -278,6 +310,14 @@ class TestLoadEmbeddings:
         path = self.write(tmp_path, ['{"id":"d1","vector":%s}' % vector])
         with pytest.raises(DataError, match="line 1: 'vector' must be a list of numbers"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("vector", [["1", "2"], [None, 1.0]])
+    def test_from_dict_rejects_non_numbers_like_the_loader(self, tmp_path, vector):
+        path = self.write(tmp_path, [json.dumps({"id": "d1", "vector": vector})])
+        with pytest.raises(DataError, match="line 1: 'vector' must be a list of numbers$"):
+            load_embeddings(path)
+        with pytest.raises(DataError, match="^'vector' must be a list of numbers$"):
+            EmbeddingTable.from_dict({"d1": vector})
 
     def test_bools_and_wide_integers_accepted(self, tmp_path):
         # JSON booleans are ints to Python; integers beyond 64 bits have no

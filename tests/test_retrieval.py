@@ -386,6 +386,15 @@ class TestDenseRetrieve:
         with pytest.raises(DataError, match="beyond float range"):
             dense_retrieve(table, [10**400, 0], k=1)
 
+    def test_non_number_query_rejected(self):
+        # The query passes the same check as a loaded row, so strings are
+        # not parsed as numbers; the dimension pre-check still comes first.
+        table = EmbeddingTable.from_dict({"d1": [1, 0]})
+        with pytest.raises(DataError, match="^'vector' must be a list of numbers$"):
+            dense_retrieve(table, ["1", "0"], k=1)
+        with pytest.raises(DataError, match="dimension"):
+            dense_retrieve(table, ["1", "0", "0"], k=1)
+
     def test_deterministic(self):
         table = EmbeddingTable.from_dict({"a": [0.5, 0.1], "b": [0.4, 0.9]})
         assert dense_retrieve(table, [1, 1], k=2) == dense_retrieve(table, [1, 1], k=2)
