@@ -30,7 +30,7 @@ from .harness import (
 )
 from .ioutils import atomic_write_json, atomic_write_text
 from .metrics import METRIC_COLUMNS, evaluate_instance, mean_report, table_embedder
-from .retrieval import build_inverted_index, load_index, save_index, write_pools
+from .retrieval import build_inverted_index, write_pools
 
 __all__ = ["main", "build_parser"]
 
@@ -55,13 +55,8 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
         return p
 
-    p = add("index", "build an inverted index from a corpus")
+    p = add("retrieve", "run one BM25 query against a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="output directory for index files")
-    p.set_defaults(func=cmd_index)
-
-    p = add("retrieve", "run one BM25 query against a saved index")
-    p.add_argument("--index", required=True, help="index directory or index.json")
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--k1", type=float, default=0.9)
@@ -141,26 +136,8 @@ def _emit(args, human: str, payload: dict) -> None:
         print(human)
 
 
-def cmd_index(args) -> int:
-    corpus = load_corpus(args.corpus)
-    index = build_inverted_index(corpus)
-    out = Path(args.out)
-    save_index(index, out / "index.json" if not out.suffix else out)
-    _emit(
-        args,
-        f"indexed {index.doc_count} documents, {index.term_count} terms -> {args.out}",
-        {
-            "doc_count": index.doc_count,
-            "term_count": index.term_count,
-            "avg_doc_len": index.avg_doc_len,
-            "out": str(args.out),
-        },
-    )
-    return 0
-
-
 def cmd_retrieve(args) -> int:
-    index = load_index(args.index)
+    index = build_inverted_index(load_corpus(args.corpus))
     results = retrieval.bm25_retrieve(index, args.query, args.k, k1=args.k1, b=args.b)
     rows = [{"rank": r.rank, "doc_id": r.doc_id, "score": r.score} for r in results]
     if args.json:

@@ -236,13 +236,15 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise DataError(f"{path}: line {lineno}: JSON nested too deeply") from exc
             if not isinstance(obj, dict):
                 raise DataError(f"{path}: line {lineno}: expected a JSON object")
             yield lineno, obj
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
-    """Parse a JSON file that holds one object (a config, report or index)."""
+    """Parse a JSON file that holds one object (a config or report)."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
@@ -251,6 +253,8 @@ def read_json_object(path: str | Path, what: str) -> dict:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise DataError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: {what} must be a JSON object")
     return obj

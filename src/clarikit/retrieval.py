@@ -33,7 +33,6 @@ from .corpus import (
     _check_vector,
     iter_jsonl,
     normalize,
-    read_json_object,
 )
 from .errors import DataError
 
@@ -53,8 +52,6 @@ __all__ = [
     "tfidf_similarity",
     "entry_text",
     "resolve_texts",
-    "save_index",
-    "load_index",
     "write_pools",
     "read_pools",
     "ORACLE_ID_PREFIX",
@@ -90,7 +87,7 @@ class InvertedIndex:
     index, is derived from it on first use (see :attr:`forward`).
 
     ``term_ids`` maps each term to its id.  Two indexes are equal when they
-    hold the same documents, lengths and postings, whatever their term ids.
+    hold the same documents, lengths, term ids and postings.
     """
 
     term_ids: dict[str, int]
@@ -142,7 +139,15 @@ class InvertedIndex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InvertedIndex):
             return NotImplemented
-        return index_to_dict(self) == index_to_dict(other)
+        return (
+            self.doc_ids == other.doc_ids
+            and self.term_ids == other.term_ids
+            and self.avg_doc_len == other.avg_doc_len
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("offsets", "ordinals", "tfs", "doc_lengths")
+            )
+        )
 
 
 def _transpose(
@@ -664,70 +669,6 @@ def resolve_texts(
 
 
 # --- serialization -------------------------------------------------------
-
-
-def index_to_dict(index: InvertedIndex) -> dict:
-    postings = {}
-    for term in sorted(index.term_ids):
-        ordinals, tfs = index.posting(term)
-        postings[term] = [list(p) for p in zip(ordinals.tolist(), tfs.tolist())]
-    return {
-        "doc_ids": list(index.doc_ids),
-        "doc_lengths": index.doc_lengths.tolist(),
-        "avg_doc_len": index.avg_doc_len,
-        "postings": postings,
-    }
-
-
-def index_from_dict(raw: dict) -> InvertedIndex:
-    try:
-        doc_ids = tuple(raw["doc_ids"])
-        lengths = [int(x) for x in raw["doc_lengths"]]
-        avg_doc_len = float(raw["avg_doc_len"])
-        term_ids: dict[str, int] = {}
-        sizes, ordinals, tfs = [], array("i"), array("i")
-        for term, plist in raw["postings"].items():
-            term_ids[term] = len(term_ids)
-            sizes.append(len(plist))
-            for o, tf in plist:
-                ordinals.append(int(o))
-                tfs.append(int(tf))
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"malformed index file: {exc}") from exc
-    if len(lengths) != len(doc_ids):
-        raise DataError(
-            f"malformed index file: {len(lengths)} doc lengths for {len(doc_ids)} documents"
-        )
-    ordinal_arr = np.frombuffer(ordinals, dtype=np.int32)
-    if len(ordinal_arr) and not 0 <= ordinal_arr.min() <= ordinal_arr.max() < len(doc_ids):
-        raise DataError("malformed index file: posting ordinal out of range")
-    same_term = np.diff(np.repeat(np.arange(len(sizes)), sizes)) == 0
-    if np.any(same_term & (np.diff(ordinal_arr) <= 0)):
-        raise DataError("malformed index file: a term's ordinals are not strictly ascending")
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return InvertedIndex(
-        term_ids=term_ids,
-        offsets=offsets,
-        ordinals=ordinal_arr,
-        tfs=np.frombuffer(tfs, dtype=np.int32),
-        doc_lengths=np.array(lengths, dtype=np.int64),
-        doc_ids=doc_ids,
-        avg_doc_len=avg_doc_len,
-    )
-
-
-def save_index(index: InvertedIndex, path: str | Path) -> None:
-    from .ioutils import atomic_write_text
-
-    atomic_write_text(path, json.dumps(index_to_dict(index), sort_keys=True))
-
-
-def load_index(path: str | Path) -> InvertedIndex:
-    path = Path(path)
-    if path.is_dir():
-        path = path / "index.json"
-    return index_from_dict(read_json_object(path, "index"))
 
 
 def pool_to_dict(pool: EvidencePool) -> dict:

@@ -61,7 +61,6 @@ class TestParsing:
     @pytest.mark.parametrize(
         "command",
         [
-            "index",
             "retrieve",
             "pool",
             "evaluate",
@@ -88,19 +87,14 @@ class TestParsing:
         assert main(["frobnicate"]) == 1
 
 
-class TestIndexRetrieve:
-    def test_flow(self, data, tmp_path, capsys):
-        idx_dir = tmp_path / "idx"
-        assert main(["index", "--corpus", str(data["corpus"]), "--out", str(idx_dir)]) == 0
-        assert (idx_dir / "index.json").exists()
-        capsys.readouterr()
-
+class TestRetrieve:
+    def test_flow(self, data, capsys):
         assert (
             main(
                 [
                     "retrieve",
-                    "--index",
-                    str(idx_dir),
+                    "--corpus",
+                    str(data["corpus"]),
                     "--query",
                     "topic0",
                     "--k",
@@ -114,14 +108,25 @@ class TestIndexRetrieve:
         assert len(out["results"]) == 3
         assert out["results"][0]["rank"] == 1
 
-    def test_retrieve_empty_query_is_data_error(self, data, tmp_path, capsys):
-        idx_dir = tmp_path / "idx"
-        main(["index", "--corpus", str(data["corpus"]), "--out", str(idx_dir)])
+    def test_retrieve_empty_query_is_data_error(self, data):
         assert (
-            main(["retrieve", "--index", str(idx_dir), "--query", "!!!", "--k", "3"]) == 2
+            main(["retrieve", "--corpus", str(data["corpus"]), "--query", "!!!", "--k", "3"]) == 2
         )
 
-    def test_index_file_format_is_pinned(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, expected",
+        [
+            (
+                ["--json"],
+                '{"query": "the cat", "results": [{"doc_id": "a", "rank": 1, '
+                '"score": 1.2018935337374126}, {"doc_id": "b", "rank": 2, '
+                '"score": 0.8586604765066322}]}\n',
+            ),
+            ([], "  1  1.201894  a\n  2  0.858660  b\n2 results for 'the cat'\n"),
+        ],
+        ids=["json", "text"],
+    )
+    def test_output_is_pinned(self, tmp_path, capsys, flag, expected):
         corpus = tmp_path / "corpus.jsonl"
         write_jsonl(
             corpus,
@@ -131,23 +136,13 @@ class TestIndexRetrieve:
                 {"id": "c", "text": "dog"},
             ],
         )
-        out = tmp_path / "idx"
-        assert main(["index", "--corpus", str(corpus), "--out", str(out), "--json"]) == 0
-        assert (out / "index.json").read_text(encoding="utf-8") == (
-            '{"avg_doc_len": 3.3333333333333335, "doc_ids": ["b", "a", "c"], '
-            '"doc_lengths": [5, 4, 1], "postings": {"cat": [[0, 1], [1, 2]], '
-            '"dog": [[2, 1]], "mat": [[0, 1]], "on": [[0, 1]], "sat": [[0, 1]], '
-            '"the": [[0, 1], [1, 2]]}}'
-        )
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["term_count"] == 6
-        assert summary["doc_count"] == 3
+        argv = ["retrieve", "--corpus", str(corpus), "--query", "the cat", "--k", "5", *flag]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_missing_corpus_is_data_error(self, tmp_path):
-        assert (
-            main(["index", "--corpus", str(tmp_path / "none.jsonl"), "--out", str(tmp_path)])
-            == 2
-        )
+        argv = ["retrieve", "--corpus", str(tmp_path / "none.jsonl"), "--query", "x", "--k", "1"]
+        assert main(argv) == 2
 
 
 class TestPool:
@@ -552,6 +547,59 @@ class TestExperimentAndBootstrap:
 
     def test_experiment_missing_config(self, tmp_path):
         assert main(["experiment", "--config", str(tmp_path / "none.json")]) == 2
+
+
+DEEP = 200_000  # far beyond any recursion limit of the JSON parser
+
+# One case per command that reads a file, with the deeply nested value in
+# the file that command reads first (through a config for some).
+DEEP_CASES = {
+    "retrieve": ["retrieve", "--corpus", "{deep_jsonl}", "--query", "x", "--k", "1"],
+    "pool": ["pool", "--config", "{config}", "--instances", "{deep_jsonl}", "--out", "{out}"],
+    "evaluate-generated": [
+        "evaluate", "--generated", "{deep_jsonl}", "--truth", "{instances}", "--out", "{out}"
+    ],
+    "evaluate-truth": [
+        "evaluate", "--generated", "{instances}", "--truth", "{deep_jsonl}", "--out", "{out}"
+    ],
+    "align-stats": ["align-stats", "--config", "{deep_corpus_config}", "--out", "{out}"],
+    "loo": ["loo", "--config", "{deep_json}", "--seed", "1", "--out", "{out}"],
+    "sweep": ["sweep", "--config", "{deep_corpus_config}", "--n", "1", "--out", "{out}"],
+    "taxonomy": ["taxonomy", "--instances", "{deep_jsonl}", "--out", "{out}"],
+    "experiment-config": ["experiment", "--config", "{deep_json}"],
+    "experiment-corpus": ["experiment", "--config", "{deep_corpus_config}"],
+    "bootstrap": [
+        "bootstrap", "--a", "{deep_json}", "--b", "{deep_json}", "--metric", "exact_match_f1"
+    ],
+}
+
+
+class TestDeeplyNestedJson:
+    """A JSON value nested too deeply is a data error, whichever file holds it."""
+
+    @pytest.mark.parametrize("argv", DEEP_CASES.values(), ids=DEEP_CASES.keys())
+    def test_exits_2_with_one_data_error_line(self, data, tmp_path, capsys, argv):
+        nested = "[" * DEEP + "]" * DEEP
+        deep_jsonl, deep_json = tmp_path / "deep.jsonl", tmp_path / "deep.json"
+        deep_jsonl.write_text(f'{{"id": {nested}}}\n', encoding="utf-8")
+        deep_json.write_text(f'{{"corpus": {nested}}}', encoding="utf-8")
+        config = json.loads(data["config"].read_text())
+        deep_corpus_config = tmp_path / "deep_corpus.json"
+        deep_corpus_config.write_text(json.dumps({**config, "corpus": str(deep_jsonl)}))
+        paths = {
+            "deep_jsonl": deep_jsonl,
+            "deep_json": deep_json,
+            "deep_corpus_config": deep_corpus_config,
+            "config": data["config"],
+            "instances": data["instances"],
+            "out": tmp_path / "result",
+        }
+        before = sorted(tmp_path.rglob("*"))
+        assert main([a.format(**paths) for a in argv]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error:")
+        assert "JSON nested too deeply" in line
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestCrossProcessDeterminism:

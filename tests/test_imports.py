@@ -1,4 +1,4 @@
-"""Every name a clarikit module imports is read somewhere in that module.
+"""Every name a clarikit module or test file imports is read somewhere in that file.
 
 ``__init__.py`` re-exports its imports and ``from __future__`` imports are
 compiler directives, so neither counts.  A name read only inside a string
@@ -10,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clarikit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "clarikit"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# Package modules are named by file name, test files by their path from the repo root.
+SOURCES = {name: PACKAGE / name for name in MODULES} | {
+    f"tests/{path.name}": path for path in sorted(TESTS.glob("*.py"))
+}
 
 
 def imported_names(tree: ast.AST) -> dict[str, int]:
@@ -49,11 +54,12 @@ def read_names(tree: ast.AST) -> set[str]:
 
 def test_every_module_is_checked():
     assert {"cli.py", "corpus.py", "harness.py", "retrieval.py"} <= set(MODULES)
+    assert {"tests/conftest.py", "tests/test_cli.py", "tests/test_retrieval.py"} <= set(SOURCES)
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", SOURCES)
 def test_no_unused_imports(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"), filename=module)
+    tree = ast.parse(SOURCES[module].read_text(encoding="utf-8"), filename=module)
     read = read_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in read}
     assert not unused, f"{module}: imported but never read: {unused}"

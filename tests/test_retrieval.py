@@ -1,13 +1,11 @@
 """Index construction, BM25/dense ranking, interleaving, pools, and MMR."""
 
-import json
 import math
 import sys
-import tempfile
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,14 +24,11 @@ from clarikit.retrieval import (
     build_pool,
     dense_retrieve,
     embedding_similarity,
-    index_to_dict,
     interleave_round_robin,
-    load_index,
     mmr_rerank,
     pool_from_dict,
     pool_to_dict,
     resolve_texts,
-    save_index,
     tfidf_similarity,
 )
 from clarikit.retrieval import _transpose
@@ -191,7 +186,7 @@ class TestInvertedIndex:
             assert got.tobytes() == want.tobytes(), name
             assert not got.flags.writeable, name
         assert index.avg_doc_len == expected.avg_doc_len
-        assert index_to_dict(index) == index_to_dict(expected)
+        assert index == expected
 
     def test_shared_term_two_entries(self):
         index = build_inverted_index(corpus_of({"d1": "x y", "d2": "x z"}))
@@ -200,6 +195,24 @@ class TestInvertedIndex:
     def test_deterministic_rebuild(self):
         corpus = corpus_of({"d1": "a b", "d2": "b c"})
         assert build_inverted_index(corpus) == build_inverted_index(corpus)
+
+    @pytest.mark.parametrize("field", ["tfs", "doc_lengths", "avg_doc_len", "doc_ids"])
+    def test_indexes_differing_in_one_field_are_unequal(self, field):
+        index = build_inverted_index(corpus_of({"d1": "a b a", "d2": "b c"}))
+        if field in ("tfs", "doc_lengths"):
+            value = getattr(index, field).copy()
+            value[0] += 1
+        elif field == "avg_doc_len":
+            value = index.avg_doc_len + 0.5
+        else:
+            value = index.doc_ids[::-1]
+        assert replace(index, **{field: value}) != index
+        assert replace(index) == index
+
+    def test_comparing_with_a_non_index_is_not_implemented(self):
+        index = build_inverted_index(corpus_of({"d": "a"}))
+        assert index.__eq__(object()) is NotImplemented
+        assert index != "a"
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
@@ -218,30 +231,21 @@ class TestInvertedIndex:
     @settings(deadline=None, max_examples=100)
     @given(texts=small_corpora)
     def test_forward_index_holds_each_documents_token_counts(self, texts):
-        built = build_inverted_index(corpus_of(texts))
-        assert "forward" not in vars(built)  # derived on first use only
-        with tempfile.TemporaryDirectory() as tmp:
-            save_index(built, Path(tmp) / "index.json")
-            loaded = load_index(tmp)
-        for index in (built, loaded):
-            doc_offsets, doc_terms, doc_tfs = index.forward
-            assert index.forward is index.forward
-            assert [a.dtype for a in index.forward] == [np.int64, np.int32, np.int32]
-            term_of = {t: term for term, t in index.term_ids.items()}
-            for ordinal, text in enumerate(texts.values()):
-                lo, hi = doc_offsets[ordinal], doc_offsets[ordinal + 1]
-                terms = doc_terms[lo:hi].tolist()
-                assert terms == sorted(terms)
-                pairs = {term_of[t]: tf for t, tf in zip(terms, doc_tfs[lo:hi].tolist())}
-                assert pairs == Counter(normalize(text))
-            for array in index.forward:
-                with pytest.raises(ValueError):
-                    array[:1] = 0
-        # Term ids differ between the two (first-seen vs file order).
-        sim_built, sim_loaded = tfidf_similarity(built), tfidf_similarity(loaded)
-        for a in texts:
-            for b in texts:
-                assert abs(sim_built(a, b) - sim_loaded(a, b)) <= 1e-12
+        index = build_inverted_index(corpus_of(texts))
+        assert "forward" not in vars(index)  # derived on first use only
+        doc_offsets, doc_terms, doc_tfs = index.forward
+        assert index.forward is index.forward
+        assert [a.dtype for a in index.forward] == [np.int64, np.int32, np.int32]
+        term_of = {t: term for term, t in index.term_ids.items()}
+        for ordinal, text in enumerate(texts.values()):
+            lo, hi = doc_offsets[ordinal], doc_offsets[ordinal + 1]
+            terms = doc_terms[lo:hi].tolist()
+            assert terms == sorted(terms)
+            pairs = {term_of[t]: tf for t, tf in zip(terms, doc_tfs[lo:hi].tolist())}
+            assert pairs == Counter(normalize(text))
+        for array in index.forward:
+            with pytest.raises(ValueError):
+                array[:1] = 0
 
     def test_concurrent_first_use_of_the_forward_index(self):
         texts = {f"d{i:03d}": f"w{i % 7} w{i % 5} w{i % 3} w{i % 11}" for i in range(300)}
@@ -350,17 +354,12 @@ class TestBm25:
         oracle = bm25_oracle(texts, query, k1, b)
         k = data.draw(st.integers(1, len(oracle) + 2), label="k")
         expected = sorted(oracle.items(), key=lambda item: (-item[1], item[0]))[:k]
-        index = build_inverted_index(corpus_of(texts))
-        with tempfile.TemporaryDirectory() as tmp:
-            save_index(index, Path(tmp) / "index.json")
-            loaded = load_index(tmp)
-        for idx in (index, loaded):
-            got = bm25_retrieve(idx, query, k, k1=k1, b=b)
-            assert [(r.doc_id, r.rank) for r in got] == [
-                (doc_id, rank) for rank, (doc_id, _) in enumerate(expected, start=1)
-            ]
-            for r, (_, score) in zip(got, expected):
-                assert abs(r.score - score) <= 1e-12
+        got = bm25_retrieve(build_inverted_index(corpus_of(texts)), query, k, k1=k1, b=b)
+        assert [(r.doc_id, r.rank) for r in got] == [
+            (doc_id, rank) for rank, (doc_id, _) in enumerate(expected, start=1)
+        ]
+        for r, (_, score) in zip(got, expected):
+            assert abs(r.score - score) <= 1e-12
 
 
 class TestDenseRetrieve:
@@ -623,30 +622,6 @@ class TestBuildPool:
         inst = planted["instances"][2]
         pool = build_pool(planted["aligned"], inst, index=planted["index"])
         assert pool_from_dict(pool_to_dict(pool)) == pool
-
-    def test_index_save_load_round_trip(self, tiny_corpus, tmp_path):
-        from clarikit.retrieval import load_index, save_index
-
-        index = build_inverted_index(tiny_corpus)
-        save_index(index, tmp_path / "index.json")
-        assert load_index(tmp_path / "index.json") == index
-        assert load_index(tmp_path) == index  # directory form
-
-    @pytest.mark.parametrize(
-        "plist, problem",
-        [
-            ([[-1, 1]], "out of range"),
-            ([[3, 1]], "out of range"),
-            ([[1, 1], [1, 1]], "not strictly ascending"),
-            ([[1, 1], [0, 2]], "not strictly ascending"),
-        ],
-    )
-    def test_index_file_bad_ordinals_rejected(self, tiny_corpus, tmp_path, plist, problem):
-        raw = index_to_dict(build_inverted_index(tiny_corpus))
-        raw["postings"]["penny"] = plist
-        (tmp_path / "index.json").write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(DataError, match=problem):
-            load_index(tmp_path)
 
 
 class TestMmr:
