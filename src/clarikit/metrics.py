@@ -41,7 +41,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 Embedder = Callable[[str], "np.ndarray | Sequence[float]"]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -145,11 +146,15 @@ def cosine(u: "np.ndarray | Sequence[float]", v: "np.ndarray | Sequence[float]")
     b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape:
         raise DataError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    return _cosine((a, float(np.linalg.norm(a))), (b, float(np.linalg.norm(b))))
+
+
+def _cosine(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
+    """Cosine of two (vector, norm) pairs; a zero norm compares as 0.0."""
+    (u, nu), (v, nv) = a, b
+    if nu == 0.0 or nv == 0.0:
         return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return float(np.dot(u, v) / (nu * nv))
 
 
 _NO_BLEU = (0.0, 0.0, 0.0, 0.0)
@@ -326,7 +331,7 @@ class _Comparison:
             if embedder is None:
                 sims.append(1.0 if a.text == b.text != "" else 0.0)
             else:
-                sims.append(min(max(cosine(_embed(embedder, a), _embed(embedder, b)), 0.0), 1.0))
+                sims.append(min(max(_similarity(embedder, a, b), 0.0), 1.0))
         total = math.fsum(sims)
         return PRF.from_pr(total / len(self.generated), total / len(self.truth))
 
@@ -340,10 +345,17 @@ def _overlap(generated: set[str], truth: set[str]) -> PRF:
     return PRF.from_pr(inter / len(generated), inter / len(truth))
 
 
-def _embed(embedder: Embedder, facet: _Facet) -> "np.ndarray | Sequence[float]":
+def _similarity(embedder: Embedder, a: _Facet, b: _Facet) -> float:
     # The embedders made here also carry a lookup by canonical text, which
-    # facet.text already is, so it is not normalized a second time.
-    lookup = getattr(embedder, "_lookup", embedder)
+    # facet.text already is, so it is not normalized a second time.  That
+    # lookup gives each vector with its norm, taken once per text.
+    lookup = getattr(embedder, "_lookup", None)
+    if lookup is None:
+        return cosine(_embed(embedder, a), _embed(embedder, b))
+    return _cosine(_embed(lookup, a), _embed(lookup, b))
+
+
+def _embed(lookup: Callable[[str], _T], facet: _Facet) -> _T:
     try:
         return lookup(facet.text)
     except Exception as exc:
@@ -404,7 +416,7 @@ def indicator_embedder(*facet_lists: Sequence[str]) -> Embedder:
     position = {text: i for i, text in enumerate(vocab)}
     dim = max(len(vocab), 1)
 
-    def lookup(text: str) -> np.ndarray:
+    def vector(text: str) -> np.ndarray:
         vec = np.zeros(dim, dtype=np.float64)
         idx = position.get(text)
         if idx is not None:
@@ -412,9 +424,9 @@ def indicator_embedder(*facet_lists: Sequence[str]) -> Embedder:
         return vec
 
     def embed(text: str) -> np.ndarray:
-        return lookup(normalized_facet(text))
+        return vector(normalized_facet(text))
 
-    embed._lookup = lookup
+    embed._lookup = _with_norms(vector)
     return embed
 
 
@@ -424,8 +436,27 @@ def table_embedder(table) -> Embedder:
     def embed(text: str) -> np.ndarray:
         return table.vector(normalized_facet(text))
 
-    embed._lookup = table.vector
+    embed._lookup = _with_norms(table.vector)
     return embed
+
+
+def _with_norms(vector: Callable[[str], np.ndarray]) -> Callable[[str], tuple[np.ndarray, float]]:
+    """Lookup of (vector, norm) by canonical text, with norms cached per text.
+
+    Each norm is the ``np.linalg.norm`` that :func:`cosine` takes, so a
+    cosine of looked-up pairs keeps its bits.  Only the norms are kept: a
+    cached vector would cost a numpy object per text.
+    """
+    norms: dict[str, float] = {}
+
+    def lookup(text: str) -> tuple[np.ndarray, float]:
+        vec = vector(text)
+        norm = norms.get(text)
+        if norm is None:
+            norm = norms[text] = float(np.linalg.norm(vec))
+        return vec, norm
+
+    return lookup
 
 
 def evaluate_instance(

@@ -226,6 +226,71 @@ def _idf(doc_count: int, df: int) -> float:
     return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
+def _check_bm25_params(k1: float, b: float) -> None:
+    """BM25's free parameters: k1 finite and >= 0, b in [0, 1]; NaN fails both."""
+    if not (math.isfinite(k1) and k1 >= 0):
+        raise ValueError(f"BM25 k1 must be finite and >= 0, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"BM25 b must be in [0, 1], got {b}")
+
+
+def _add_bm25(
+    index: InvertedIndex,
+    terms: Sequence[str],
+    k1: float,
+    b: float,
+    scores: np.ndarray,
+    matched: np.ndarray,
+) -> None:
+    """Add each term's BM25 contribution into ``scores``, in ``terms`` order,
+    and mark the documents it reaches in ``matched``."""
+    n_docs = index.doc_count
+    for term in terms:
+        ords, tf = index.posting(term)
+        if not len(ords):
+            continue
+        # The scalar math.log and this exact operation order keep every
+        # score bit-identical to the per-posting formula (see bm25_retrieve).
+        idf = _idf(n_docs, len(ords))
+        norm = tf + k1 * (1.0 - b + b * index.doc_lengths[ords] / index.avg_doc_len)
+        scores[ords] += idf * tf * (k1 + 1.0) / norm
+        matched[ords] = True
+
+
+def _bm25_rankings(
+    index: InvertedIndex,
+    query: str,
+    suffixes: Sequence[str],
+    k: int,
+    k1: float,
+    b: float,
+) -> list[list[ScoredDoc]]:
+    """The BM25 top-k of ``query``, then of ``f"{query} {s}"`` for each suffix.
+
+    The query's terms are scored once.  Each suffix copies that base and
+    adds only its own terms: the additions a from-scratch scoring of the
+    joined text makes, in the same order, because ``normalize(f"{q} {s}")
+    == normalize(q) + normalize(s)``.  So every score keeps its bits.
+    """
+    terms = normalize(query)
+    if not terms:
+        raise DataError("empty query")
+    base_scores = np.zeros(index.doc_count, dtype=np.float64)
+    base_matched = np.zeros(index.doc_count, dtype=bool)
+    _add_bm25(index, terms, k1, b, base_scores, base_matched)
+
+    def ranking(scores: np.ndarray, matched: np.ndarray) -> list[ScoredDoc]:
+        hits = np.flatnonzero(matched)
+        return _top_k(hits, scores[hits], index.doc_ids, k)
+
+    rankings = [ranking(base_scores, base_matched)]
+    for suffix in suffixes:
+        scores, matched = base_scores.copy(), base_matched.copy()
+        _add_bm25(index, normalize(suffix), k1, b, scores, matched)
+        rankings.append(ranking(scores, matched))
+    return rankings
+
+
 def bm25_retrieve(
     index: InvertedIndex,
     query: str,
@@ -243,24 +308,9 @@ def bm25_retrieve(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    terms = normalize(query)
-    if not terms:
-        raise DataError("empty query")
-    n_docs = index.doc_count
-    scores = np.zeros(n_docs, dtype=np.float64)
-    matched = np.zeros(n_docs, dtype=bool)
-    for term in terms:
-        ords, tf = index.posting(term)
-        if not len(ords):
-            continue
-        # The scalar math.log and this exact operation order keep every
-        # score bit-identical to the per-posting formula above.
-        idf = _idf(n_docs, len(ords))
-        norm = tf + k1 * (1.0 - b + b * index.doc_lengths[ords] / index.avg_doc_len)
-        scores[ords] += idf * tf * (k1 + 1.0) / norm
-        matched[ords] = True
-    hits = np.flatnonzero(matched)
-    return _top_k(hits, scores[hits], index.doc_ids, k)
+    _check_bm25_params(k1, b)
+    (ranking,) = _bm25_rankings(index, query, (), k, k1, b)
+    return ranking
 
 
 def dense_retrieve(
@@ -357,10 +407,12 @@ class RetrievalConfig:
             raise ValueError(f"unknown retrieval mode {self.mode!r}")
         if self.alignment not in ("query_only", "facet_aligned", "oracle", "closed_book"):
             raise ValueError(f"unknown alignment {self.alignment!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.candidate_n < 1:
-            raise ValueError(f"candidate_n must be >= 1, got {self.candidate_n}")
+        for name in ("k", "candidate_n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.mmr_lambda is not None:
             if not 0.0 <= self.mmr_lambda <= 1.0:
                 raise ValueError(f"mmr_lambda must be in [0, 1], got {self.mmr_lambda}")
@@ -369,10 +421,7 @@ class RetrievalConfig:
                     f"k ({self.k}) must not exceed candidate_n ({self.candidate_n}) "
                     "when MMR is enabled"
                 )
-        if self.bm25_k1 < 0:
-            raise ValueError(f"bm25_k1 must be >= 0, got {self.bm25_k1}")
-        if not 0.0 <= self.bm25_b <= 1.0:
-            raise ValueError(f"bm25_b must be in [0, 1], got {self.bm25_b}")
+        _check_bm25_params(self.bm25_k1, self.bm25_b)
 
 
 @dataclass(frozen=True)
@@ -438,25 +487,6 @@ def _sub_queries(
     return subs
 
 
-def _retrieve(
-    config: RetrievalConfig,
-    text: str,
-    fetch_n: int,
-    index: InvertedIndex | None,
-    table: EmbeddingTable | None,
-    query_embedder: QueryEmbedder | None,
-) -> list[ScoredDoc]:
-    if config.mode == "lexical":
-        if index is None:
-            raise ValueError("lexical retrieval requires an inverted index")
-        return bm25_retrieve(index, text, fetch_n, k1=config.bm25_k1, b=config.bm25_b)
-    if table is None:
-        raise ValueError("dense retrieval requires an embedding table")
-    # Without an embedder, sub-query vectors are looked up by the sub-query text itself.
-    embed = query_embedder if query_embedder is not None else table.vector
-    return dense_retrieve(table, embed(text), fetch_n)
-
-
 def build_pool(
     config: RetrievalConfig,
     instance: ClarificationInstance,
@@ -469,7 +499,9 @@ def build_pool(
     For facet-aligned pools each sub-query fetches a full ranking and the
     rankings are interleaved; a document retrieved by several sub-queries
     keeps the score from the list that first emitted it and the union of
-    all retrieving sub-query labels as provenance.
+    all retrieving sub-query labels as provenance.  Lexical sub-queries
+    score the query's terms once and share them (see ``_bm25_rankings``);
+    each ranking equals :func:`bm25_retrieve` of its sub-query.
 
     In dense mode the table is scanned as the document collection, so it
     must hold document vectors only; supply query vectors through
@@ -491,10 +523,21 @@ def build_pool(
 
     use_mmr = config.mmr_lambda is not None
     fetch_n = config.candidate_n if use_mmr else config.k
-    rankings: list[tuple[str, list[ScoredDoc]]] = [
-        (label, _retrieve(config, text, fetch_n, index, table, query_embedder))
-        for label, text in _sub_queries(config, instance)
-    ]
+    subs = _sub_queries(config, instance)
+    if config.mode == "lexical":
+        if index is None:
+            raise ValueError("lexical retrieval requires an inverted index")
+        facets = instance.facets if config.alignment == "facet_aligned" else ()
+        lists = _bm25_rankings(
+            index, instance.query, facets, fetch_n, config.bm25_k1, config.bm25_b
+        )
+    else:
+        if table is None:
+            raise ValueError("dense retrieval requires an embedding table")
+        # Without an embedder, sub-query vectors are looked up by the sub-query text itself.
+        embed = query_embedder if query_embedder is not None else table.vector
+        lists = [dense_retrieve(table, embed(text), fetch_n) for _, text in subs]
+    rankings = [(label, ranking) for (label, _), ranking in zip(subs, lists)]
 
     provenance: dict[str, set[str]] = {}
     for label, ranking in rankings:

@@ -144,6 +144,18 @@ class TestRetrieve:
         argv = ["retrieve", "--corpus", str(tmp_path / "none.jsonl"), "--query", "x", "--k", "1"]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--k1", "nan"), ("--k1", "inf"), ("--k1", "-1"), ("--b", "nan")]
+    )
+    def test_bad_bm25_parameter_is_data_error(self, data, capsys, flag, value):
+        argv = ["retrieve", "--corpus", str(data["corpus"]), "--query", "topic0", "--k", "3"]
+        argv += [flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: BM25 ")
+        assert captured.err.count("\n") == 1
+
 
 class TestPool:
     def test_writes_pools(self, data, tmp_path, capsys):
@@ -174,6 +186,31 @@ class TestPool:
         expected = tmp_path / "expected.jsonl"
         assert main(["pool", "--config", str(data["config"]), "--out", str(expected)]) == 0
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("bm25_k1", float("nan")),
+            ("bm25_k1", float("inf")),
+            ("bm25_k1", -1),
+            ("bm25_b", float("nan")),
+            ("k", 10.5),
+            ("candidate_n", 50.0),
+        ],
+    )
+    def test_bad_retrieval_number_exits_2_writing_nothing(
+        self, data, tmp_path, capsys, key, value
+    ):
+        config = json.loads(data["config"].read_text())
+        config["retrieval"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))  # json writes NaN and Infinity as such
+        out = tmp_path / "pools.jsonl"
+        assert main(["pool", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: invalid retrieval config: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestEvaluate:

@@ -456,6 +456,45 @@ class TestSetSim:
             assert sorted(calls) == sorted(f + g)
             assert report.set_sim == set_sim_from_pairs(f, g, [(0, 0), (1, 1)], embedder)
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        vectors=st.lists(
+            st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=3, max_size=3),
+            min_size=len(WORDS),
+            max_size=len(WORDS),
+        ),
+        f=facet_list_st,
+        g=facet_list_st,
+    )
+    def test_cached_norms_keep_the_bits_of_cosine(self, vectors, f, g):
+        # Set-Sim reads each text's norm from a per-embedder cache; every
+        # value must equal the public cosine of the same vectors exactly.
+        from clarikit.corpus import EmbeddingTable
+
+        texts = {normalized_facet(x) for x in f + g}
+        table = EmbeddingTable.from_dict(
+            {text: vectors[i % len(vectors)] for i, text in enumerate(sorted(texts))}
+        )
+        pairs = [(a, b) for a, b, _ in match_facet_pairs(f, g).pairs]
+        for embedder in (table_embedder(table), indicator_embedder(f, g)):
+            for _ in range(2):  # the second pass reads the cache
+                expected = set_sim_from_pairs(f, g, pairs, embedder)
+                assert set_sim(f, g, embedder) == expected
+                assert evaluate_instance(f, g, embedder).set_sim == expected
+
+    def test_each_row_norm_is_taken_once(self, monkeypatch):
+        import numpy as np
+        from clarikit.corpus import EmbeddingTable
+
+        table = EmbeddingTable.from_dict({"cast": [1.0, 0.0], "crew": [0.8, 0.6]})
+        embedder = table_embedder(table)
+        norms = []
+        real_norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda v: norms.append(v) or real_norm(v))
+        for _ in range(3):
+            evaluate_instance(["cast", "crew"], ["crew", "cast"], embedder)
+        assert len(norms) == 2
+
     def test_canonical_text_is_a_fixed_point(self):
         # Why the direct lookup is exact: normalizing a canonical text again
         # gives it back, for every code point between two letters.

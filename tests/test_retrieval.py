@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clarikit.corpus import ClarificationInstance, Corpus, Document, EmbeddingTable, normalize
 from clarikit.errors import DataError
@@ -63,6 +63,34 @@ def bm25_oracle(texts: dict[str, str], query: str, k1: float, b: float) -> dict[
         if total != 0.0:
             scores[doc_id] = total
     return scores
+
+
+def pool_oracle(config: RetrievalConfig, instance: ClarificationInstance, index) -> list:
+    """A lexical pool from one ``bm25_retrieve`` per sub-query, interleaved.
+
+    Rows are (doc_id, rank, score.hex(), sorted provenance).
+    """
+    use_mmr = config.mmr_lambda is not None
+    fetch_n = config.candidate_n if use_mmr else config.k
+    subs = [("Q", instance.query)]
+    if config.alignment == "facet_aligned":
+        subs += [(f"F{i + 1}", f"{instance.query} {f}") for i, f in enumerate(instance.facets)]
+    rankings = [
+        (label, bm25_retrieve(index, text, fetch_n, k1=config.bm25_k1, b=config.bm25_b))
+        for label, text in subs
+    ]
+    provenance: dict[str, set[str]] = {}
+    for label, ranking in rankings:
+        for doc in ranking:
+            provenance.setdefault(doc.doc_id, set()).add(label)
+    merged = interleave_round_robin([r for _, r in rankings], fetch_n, key=lambda d: d.doc_id)
+    if use_mmr and merged:
+        k = min(config.k, len(merged))
+        merged = mmr_rerank(merged, config.mmr_lambda, k, tfidf_similarity(index))
+    return [
+        (d.doc_id, rank, d.score.hex(), sorted(provenance[d.doc_id]))
+        for rank, d in enumerate(merged[: config.k], start=1)
+    ]
 
 
 def tfidf_cosine_oracle(texts: dict[str, str], a: str, b: str) -> float:
@@ -359,7 +387,14 @@ class TestBm25:
             (doc_id, rank) for rank, (doc_id, _) in enumerate(expected, start=1)
         ]
         for r, (_, score) in zip(got, expected):
-            assert abs(r.score - score) <= 1e-12
+            assert r.score.hex() == score.hex()
+
+    @pytest.mark.parametrize(
+        "k1, b", [(math.nan, 0.4), (math.inf, 0.4), (-1.0, 0.4), (0.9, math.nan), (0.9, 1.5)]
+    )
+    def test_bad_parameters_rejected(self, tiny_corpus, k1, b):
+        with pytest.raises(ValueError, match="BM25"):
+            bm25_retrieve(build_inverted_index(tiny_corpus), "penny", k=3, k1=k1, b=b)
 
 
 class TestDenseRetrieve:
@@ -520,6 +555,23 @@ class TestRetrievalConfig:
         with pytest.raises(ValueError):
             RetrievalConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"k": 10.5}, "k must be an integer, got 10.5"),
+            ({"k": True}, "k must be an integer, got True"),
+            ({"candidate_n": 50.0}, "candidate_n must be an integer, got 50.0"),
+            ({"bm25_k1": math.nan}, "BM25 k1 must be finite and >= 0, got nan"),
+            ({"bm25_k1": math.inf}, "BM25 k1 must be finite and >= 0, got inf"),
+            ({"bm25_k1": -1.0}, "BM25 k1 must be finite and >= 0, got -1.0"),
+            ({"bm25_b": math.nan}, "BM25 b must be in [0, 1], got nan"),
+        ],
+    )
+    def test_invalid_numbers(self, kwargs, message):
+        with pytest.raises(ValueError) as exc_info:
+            RetrievalConfig(**kwargs)
+        assert str(exc_info.value) == message
+
 
 class TestBuildPool:
     def test_oracle_pool(self):
@@ -622,6 +674,86 @@ class TestBuildPool:
         inst = planted["instances"][2]
         pool = build_pool(planted["aligned"], inst, index=planted["index"])
         assert pool_from_dict(pool_to_dict(pool)) == pool
+
+
+# Text that stresses the case and punctuation rules of normalize at a join:
+# Σ lowercases to ς only at the end of a word, İ to two code points, ß stays
+# one; combining marks and soft hyphens attach to their neighbours and
+# apostrophes count as case-ignorable.
+_JOIN_CHARS = "aAzΣσςİıßé\u0301\u0308\u00ad'’.,!?-—«» \t\n0"
+join_texts = st.text(st.sampled_from(_JOIN_CHARS) | st.characters(), max_size=12)
+
+_POOL_PIECES = _NOISY_PIECES + ["zebra"]  # zebra occurs in no document
+pool_texts = st.lists(st.sampled_from(_POOL_PIECES), min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def lexical_configs(draw):
+    mmr_lambda = draw(st.none() | st.floats(0.0, 1.0))
+    k = draw(st.integers(1, 8))
+    candidate_n = draw(st.integers(k if mmr_lambda is not None else 1, 12))
+    return RetrievalConfig(
+        alignment=draw(st.sampled_from(["query_only", "facet_aligned"])),
+        k=k,
+        candidate_n=candidate_n,
+        mmr_lambda=mmr_lambda,
+        bm25_k1=draw(st.floats(0.0, 3.0)),
+        bm25_b=draw(st.floats(0.0, 1.0)),
+    )
+
+
+class TestSharedQueryPrefix:
+    """Lexical pools score the query once and add each facet's terms to it."""
+
+    @settings(max_examples=500)
+    @given(query=join_texts, facet=join_texts)
+    @example(query="ΟΔΟΣ", facet="Σ")
+    @example(query="aΣ", facet="\u0301b")
+    @example(query="İ", facet="İx")
+    @example(query="word.", facet=",next")
+    @example(query="don'", facet="'t")
+    @example(query="a\u00ad", facet="\u00adb")
+    def test_normalize_of_a_join_is_the_concatenation(self, query, facet):
+        assert normalize(f"{query} {facet}") == normalize(query) + normalize(facet)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        texts=noisy_corpora,
+        query=pool_texts,
+        facets=st.lists(pool_texts, min_size=1, max_size=4),
+        config=lexical_configs(),
+    )
+    def test_matches_one_bm25_retrieve_per_sub_query(self, texts, query, facets, config):
+        index = build_inverted_index(corpus_of(texts))
+        inst = ClarificationInstance(id="i", query=query, facets=tuple(facets))
+        if not normalize(query):
+            for build in (build_pool, pool_oracle):
+                with pytest.raises(DataError) as exc_info:
+                    build(config, inst, index=index)
+                assert str(exc_info.value) == "empty query"
+            return
+        pool = build_pool(config, inst, index=index)
+        got = [
+            (e.doc_id, rank, e.score.hex(), sorted(e.provenance))
+            for rank, e in enumerate(pool.entries, start=1)
+        ]
+        assert got == pool_oracle(config, inst, index)
+
+    @pytest.mark.parametrize(
+        "facets, with_index, error, message",
+        [
+            ((), False, DataError, "instance 'i' has no facets for aligned retrieval"),
+            (("cast",), False, ValueError, "lexical retrieval requires an inverted index"),
+            (("cast",), True, DataError, "empty query"),
+        ],
+    )
+    def test_error_order(self, tiny_corpus, facets, with_index, error, message):
+        # Skip reasons land in report.json, so which error wins is fixed.
+        index = build_inverted_index(tiny_corpus) if with_index else None
+        inst = ClarificationInstance(id="i", query="!!!", facets=facets)
+        with pytest.raises(error) as exc_info:
+            build_pool(RetrievalConfig(alignment="facet_aligned"), inst, index=index)
+        assert str(exc_info.value) == message
 
 
 class TestMmr:
