@@ -113,8 +113,8 @@ def build_parser() -> _Parser:
         "--parallelism",
         type=int,
         default=None,
-        help="worker threads (default: the CPU count for a remote generator, "
-        "else 1); results identical either way",
+        help="concurrent remote generator calls (default: the CPU count); any "
+        "other generator runs on one thread; results identical either way",
     )
     p.set_defaults(func=cmd_experiment)
 

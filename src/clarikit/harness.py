@@ -19,6 +19,7 @@ import json
 import math
 import os
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -464,6 +465,10 @@ class ExperimentReport:
 _CONFIG_REQUIRED = ("corpus", "instances", "retrieval", "generator", "seed", "output_dir")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_experiment_config(config: dict, base_dir: Path | None = None) -> dict[str, Path]:
     """Check a config without changing it; return its input files resolved
     against ``base_dir`` (the working directory by default)."""
@@ -486,14 +491,26 @@ def validate_experiment_config(config: dict, base_dir: Path | None = None) -> di
         raise DataError("generator config must set kind to 'extractive' or 'remote'")
     if gen["kind"] == "remote" and not gen.get("endpoint"):
         raise DataError("remote generator config requires an endpoint")
+    max_facets = gen.get("max_facets", 5)
+    if not _is_int(max_facets) or max_facets < 1:
+        raise DataError(f"generator max_facets must be an integer >= 1, got {max_facets!r}")
+    if not isinstance(gen.get("emit_question", False), bool):
+        raise DataError(
+            f"generator emit_question must be true or false, got {gen['emit_question']!r}"
+        )
+    timeout = gen.get("timeout", 30.0)
+    is_number = _is_int(timeout) or isinstance(timeout, float)
+    # Exact also for an int too big for a float; NaN fails it.
+    if not (is_number and 0 < timeout <= sys.float_info.max):
+        raise DataError(f"generator timeout must be a finite number > 0, got {timeout!r}")
     if retrieval_cfg.mode == "dense" and "embeddings" not in paths:
         raise DataError("dense retrieval requires an embeddings file")
     if config.get("set_sim") not in (None, "indicator", "table"):
         raise DataError("config set_sim must be 'indicator' or 'table'")
     if config.get("set_sim") == "table" and "embeddings" not in paths:
         raise DataError("set_sim 'table' requires an embeddings file")
-    if not isinstance(config["seed"], int):
-        raise DataError("config seed must be an integer")
+    if not _is_int(config["seed"]):
+        raise DataError(f"config seed must be an integer, got {config['seed']!r}")
     return paths
 
 
@@ -587,8 +604,8 @@ def load_resources(config: dict | str | Path) -> Resources:
         doc_table=doc_table,
         query_embedder=query_embedder,
         generator=_make_generator(gen),
-        max_facets=int(gen.get("max_facets", 5)),
-        emit_question=bool(gen.get("emit_question", False)),
+        max_facets=gen.get("max_facets", 5),
+        emit_question=gen.get("emit_question", False),
         set_sim_embedder=table_embedder(table) if config.get("set_sim") == "table" else None,
     )
 
@@ -629,13 +646,18 @@ def run_experiment(
     input order.  Outputs (report.json, summary.csv in output_dir) are
     written atomically, and only after the whole run succeeds.
 
-    ``parallelism`` is the number of worker threads.  By default it is the
-    CPU count for a remote generator and 1 otherwise: threads overlap only
-    the remote generator's network waits, while the rest of the work is
-    pure Python and holds the interpreter lock.
+    Only a remote generator runs on worker threads: ``parallelism`` of
+    them, by default the CPU count, each doing pool, generate and evaluate
+    for one instance at a time.  Threads overlap only the generator's
+    network waits; retrieval, the extractive generator and the metrics
+    are pure Python under the interpreter lock, so every other generator
+    runs all instances on the calling thread whatever ``parallelism`` says.
+    A ``parallelism`` that is not an integer >= 1 raises ``ValueError``.
 
     ``config`` is what :func:`load_resources` takes, or its result.
     """
+    if parallelism is not None and (not _is_int(parallelism) or parallelism < 1):
+        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
     res = config if isinstance(config, Resources) else load_resources(config)
 
     def worker(
@@ -652,11 +674,8 @@ def run_experiment(
         except ClarikitError as exc:
             return inst.id, None, str(exc)
 
-    workers = parallelism
-    if not workers:
-        remote = res.config["generator"]["kind"] == "remote"
-        workers = (os.cpu_count() or 1) if remote else 1
-    if workers > 1 and len(res.instances) > 1:
+    if res.config["generator"]["kind"] == "remote":
+        workers = parallelism or os.cpu_count() or 1
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
             results = list(pool_exec.map(worker, res.instances))
     else:
@@ -666,7 +685,7 @@ def run_experiment(
     skips = [(iid, reason) for iid, _, reason in results if reason is not None]
     report = ExperimentReport(
         config_hash=_config_hash(res.config, res.paths),
-        seed=int(res.config["seed"]),
+        seed=res.config["seed"],
         mean=mean_report([rep for _, rep in per_instance]),
         per_instance=tuple(per_instance),
         evaluated_count=len(per_instance),

@@ -543,6 +543,41 @@ class TestExperimentAndBootstrap:
         )
         assert (tmp_path / "out" / "summary.csv").read_bytes() == summary
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_facets", 2.7),
+            ("max_facets", True),
+            ("max_facets", "3"),
+            ("max_facets", 0),
+            ("emit_question", "false"),
+            ("emit_question", 1),
+            ("timeout", -1),
+            ("timeout", 0),
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
+            ("timeout", True),
+            ("timeout", "30"),
+            pytest.param("timeout", 10**400, id="timeout-10**400"),
+            ("seed", True),
+            ("seed", 1.5),
+        ],
+    )
+    def test_bad_generator_or_seed_value_exits_2_writing_nothing(
+        self, data, tmp_path, capsys, key, value
+    ):
+        config = json.loads(data["config"].read_text())
+        (config if key == "seed" else config["generator"])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))  # json writes NaN and Infinity as such
+        assert main(["experiment", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: ")
+        assert f" {key} must be " in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_bootstrap_between_reports(self, data, tmp_path, capsys):
         main(["experiment", "--config", str(data["config"])])
         report = tmp_path / "out" / "report.json"
@@ -642,34 +677,28 @@ class TestDeeplyNestedJson:
 class TestCrossProcessDeterminism:
     def test_summary_identical_across_hash_seeds(self, data, tmp_path):
         # Different PYTHONHASHSEED values perturb set/dict hash order; the
-        # emitted reports must not depend on it.
+        # emitted reports must depend neither on it nor on --parallelism.
+        import itertools
         import subprocess
         import sys
 
-        outputs = []
-        for hash_seed in ("1", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        outputs = set()
+        for hash_seed, workers in itertools.product(("0", "1", "31337"), ("1", "2")):
+            argv = ["experiment", "--config", str(data["config"]), "--parallelism", workers]
             proc = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "clarikit.cli",
-                    "experiment",
-                    "--config",
-                    str(data["config"]),
-                ],
-                env=env,
+                [sys.executable, "-m", "clarikit.cli", *argv],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
                 capture_output=True,
                 text=True,
             )
             assert proc.returncode == 0, proc.stderr
-            outputs.append(
+            outputs.add(
                 (
                     (data["tmp"] / "out" / "summary.csv").read_bytes(),
                     (data["tmp"] / "out" / "report.json").read_bytes(),
                 )
             )
-        assert outputs[0] == outputs[1]
+        assert len(outputs) == 1
 
 
 class TestAtomicWrites:

@@ -448,9 +448,17 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "summary.csv").read_bytes() == first
         assert (tmp_path / "out" / "report.json").read_bytes() == first_report
 
-    @pytest.mark.parametrize("kind, workers", [("extractive", None), ("remote", 3)])
+    @pytest.mark.parametrize(
+        "kind, parallelism, workers",
+        [
+            pytest.param("extractive", None, None, id="extractive-None"),
+            pytest.param("remote", None, 3, id="remote-3"),  # the patched CPU count
+            pytest.param("extractive", 4, None, id="extractive-4"),
+            pytest.param("remote", 2, 2, id="remote-2"),
+        ],
+    )
     def test_default_parallelism_threads_only_remote(
-        self, planted, tmp_path, monkeypatch, mock_endpoint, kind, workers
+        self, planted, tmp_path, monkeypatch, mock_endpoint, kind, parallelism, workers
     ):
         import clarikit.harness as harness
         from conftest import endpoint_url
@@ -473,9 +481,51 @@ class TestRunExperiment:
             {"alignment": "oracle", "k": 5},
             generator=generator,
         )
-        report = run_experiment(config)
+        report = run_experiment(config, parallelism=parallelism)
         assert report.evaluated_count == len(planted["instances"])
         assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("parallelism", [0, -3, True, 2.0, "2"])
+    def test_bad_parallelism_raises_before_loading(self, tmp_path, parallelism):
+        config = {
+            "corpus": str(tmp_path / "nope.jsonl"),
+            "instances": str(tmp_path / "also-nope.jsonl"),
+            "retrieval": {"alignment": "oracle", "k": 5},
+            "generator": {"kind": "extractive"},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        }
+        with pytest.raises(ValueError, match="parallelism must be an integer >= 1"):
+            run_experiment(config, parallelism=parallelism)
+        assert not (tmp_path / "out").exists()
+
+    def test_remote_outputs_identical_across_parallelism(
+        self, planted, tmp_path, mock_endpoint
+    ):
+        from conftest import endpoint_url
+
+        # Replies depend on the request alone, and each takes a moment, so
+        # four threads finish their calls out of input order.
+        mock_endpoint.behavior = lambda req: (
+            200,
+            {"question": None, "facets": req["evidence"][: req["max_facets"]]},
+            0.002 * (len(req["query"]) % 3),
+        )
+        config = experiment_config(
+            tmp_path,
+            planted["corpus"],
+            planted["instances"],
+            {"alignment": "facet_aligned", "k": 5},
+            generator={"kind": "remote", "endpoint": endpoint_url(mock_endpoint),
+                       "max_facets": 2},
+        )
+        out, outputs = tmp_path / "out", []
+        for parallelism in (1, 4):
+            report = run_experiment(dict(config), parallelism=parallelism)
+            assert report.evaluated_count == len(planted["instances"])
+            outputs.append([(out / n).read_bytes() for n in ("report.json", "summary.csv")])
+        assert outputs[0] == outputs[1]
+        assert len(mock_endpoint.requests) == 2 * len(planted["instances"])
 
     def test_missing_corpus_fails_fast_without_output(self, tmp_path):
         config = {
