@@ -153,16 +153,13 @@ def cmd_pool(args) -> int:
     config: str | dict = args.config
     if args.instances:
         # Swap the override in before loading, so the config's own instances
-        # file is never read; its other inputs keep resolving against the
-        # config file's directory.
-        path = Path(args.config)
-        config = read_json_object(path, "config")
+        # file is never read; made absolute, it resolves against the working
+        # directory while the config's other inputs resolve against its own.
         config = {
-            **config,
-            **{k: str(path.parent / config[k]) for k in ("corpus", "embeddings") if config.get(k)},
-            "instances": args.instances,
+            **read_json_object(Path(args.config), "config"),
+            "instances": str(Path(args.instances).absolute()),
         }
-    res = load_resources(config)
+    res = load_resources(config, base_dir=Path(args.config).parent)
     pools = []
     skipped = []
     for inst in res.instances:

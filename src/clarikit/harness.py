@@ -22,6 +22,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -57,7 +58,6 @@ from .retrieval import (
     RetrievalConfig,
     build_inverted_index,
     build_pool,
-    entry_text,
     facet_label,
     resolve_texts,
     split_embeddings,
@@ -154,17 +154,16 @@ def alignment_stats(
         texts = resolve_texts(pool, corpus, inst)
         if k is not None:
             texts = texts[:k]
-        evidence = " ".join(texts)
-        evidence_tokens = normalize(evidence)
+        evidence_tokens = normalize(" ".join(texts))
         if not evidence_tokens:
             per.append((inst.id, 0.0, 0.0))
             continue
-        to_recall = term_overlap([evidence], list(inst.facets)).recall
-        hits = sum(
-            1
-            for facet in inst.facets
-            if _contains_subsequence(evidence_tokens, normalize(facet))
-        )
+        facet_tokens = [normalize(facet) for facet in inst.facets]
+        truth = {token for tokens in facet_tokens for token in tokens}
+        if not truth:
+            raise DataError("truth facets normalize to an empty token set")
+        to_recall = len(truth.intersection(evidence_tokens)) / len(truth)
+        hits = sum(1 for tokens in facet_tokens if _contains_subsequence(evidence_tokens, tokens))
         per.append((inst.id, to_recall, hits / len(inst.facets)))
     return AlignmentReport(
         term_overlap_recall=_mean([t for _, t, _ in per]),
@@ -267,10 +266,10 @@ def loo_faithfulness(
             recall = _facet_recall(metric_kind, clar.facets, facet)
 
             if sole_provenance_only:
-                kept = [e for e in pool.entries if e.provenance != frozenset({label})]
+                keep = [e.provenance != frozenset({label}) for e in pool.entries]
             else:
-                kept = [e for e in pool.entries if label not in e.provenance]
-            loo_texts = [entry_text(e, corpus, inst) for e in kept]
+                keep = [label not in e.provenance for e in pool.entries]
+            loo_texts = [text for text, kept in zip(texts, keep) if kept]
             loo_clar = generator(
                 GeneratorRequest(inst.query, tuple(loo_texts), max_facets, emit_question)
             )
@@ -469,49 +468,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def validate_experiment_config(config: dict, base_dir: Path | None = None) -> dict[str, Path]:
-    """Check a config without changing it; return its input files resolved
-    against ``base_dir`` (the working directory by default)."""
-    for key in _CONFIG_REQUIRED:
-        if key not in config:
-            raise DataError(f"config missing required key {key!r}")
-    base = base_dir or Path(".")
-    inputs = ["corpus", "instances"] + (["embeddings"] if config.get("embeddings") else [])
-    paths: dict[str, Path] = {}
-    for key in inputs:
-        paths[key] = base / config[key]
-        if not paths[key].exists():
-            raise DataError(f"config {key} file not found: {paths[key]}")
-    try:
-        retrieval_cfg = RetrievalConfig(**config["retrieval"])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"invalid retrieval config: {exc}") from exc
-    gen = config["generator"]
-    if not isinstance(gen, dict) or gen.get("kind") not in ("extractive", "remote"):
-        raise DataError("generator config must set kind to 'extractive' or 'remote'")
-    if gen["kind"] == "remote" and not gen.get("endpoint"):
-        raise DataError("remote generator config requires an endpoint")
-    max_facets = gen.get("max_facets", 5)
-    if not _is_int(max_facets) or max_facets < 1:
-        raise DataError(f"generator max_facets must be an integer >= 1, got {max_facets!r}")
-    if not isinstance(gen.get("emit_question", False), bool):
-        raise DataError(
-            f"generator emit_question must be true or false, got {gen['emit_question']!r}"
-        )
-    timeout = gen.get("timeout", 30.0)
-    is_number = _is_int(timeout) or isinstance(timeout, float)
+def _is_finite_number(value) -> bool:
     # Exact also for an int too big for a float; NaN fails it.
-    if not (is_number and 0 < timeout <= sys.float_info.max):
-        raise DataError(f"generator timeout must be a finite number > 0, got {timeout!r}")
-    if retrieval_cfg.mode == "dense" and "embeddings" not in paths:
-        raise DataError("dense retrieval requires an embeddings file")
-    if config.get("set_sim") not in (None, "indicator", "table"):
-        raise DataError("config set_sim must be 'indicator' or 'table'")
-    if config.get("set_sim") == "table" and "embeddings" not in paths:
-        raise DataError("set_sim 'table' requires an embeddings file")
-    if not _is_int(config["seed"]):
-        raise DataError(f"config seed must be an integer, got {config['seed']!r}")
-    return paths
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _config_hash(config: dict, paths: dict[str, Path]) -> str:
@@ -529,14 +488,6 @@ def _config_hash(config: dict, paths: dict[str, Path]) -> str:
         {"config": config, "inputs": inputs}, sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _make_generator(gen_config: dict) -> GeneratorFn:
-    if gen_config["kind"] == "extractive":
-        return extractive_generate
-    endpoint = gen_config["endpoint"]
-    timeout = float(gen_config.get("timeout", 30.0))
-    return lambda req: remote_generate(endpoint, req, timeout=timeout)
 
 
 @dataclass(frozen=True)
@@ -570,30 +521,76 @@ class Resources:
         )
 
 
-def load_resources(config: dict | str | Path) -> Resources:
-    """Validate a config (a dict, or a config file's path) and load what it names.
+def load_resources(config: dict | str | Path, base_dir: Path | None = None) -> Resources:
+    """Check every value of an experiment config (a dict, or a config file's
+    path) before any input file is read, then load what it names.
 
-    Relative input paths resolve against the config file's directory, or
-    against the working directory for a dict.
+    A bad value raises :class:`DataError`.  Relative input paths resolve
+    against ``base_dir``: by default the config file's directory, or the
+    working directory for a dict.
     """
     if isinstance(config, (str, Path)):
-        config_path = Path(config)
-        config, base_dir = read_json_object(config_path, "config"), config_path.parent
+        base_dir = Path(config).parent if base_dir is None else base_dir
+        config = read_json_object(Path(config), "config")
     else:
-        config, base_dir = dict(config), None
-    paths = validate_experiment_config(config, base_dir)
+        config = dict(config)
+    for key in _CONFIG_REQUIRED:
+        if key not in config:
+            raise DataError(f"config missing required key {key!r}")
+    base = base_dir or Path(".")
+    has_embeddings = config.get("embeddings") not in (None, "")
+    paths: dict[str, Path] = {}
+    for key in ["corpus", "instances"] + (["embeddings"] if has_embeddings else []):
+        if not isinstance(config[key], str):
+            raise DataError(f"config {key} must be a string, got {config[key]!r}")
+        paths[key] = base / config[key]
+        if not paths[key].exists():
+            raise DataError(f"config {key} file not found: {paths[key]}")
+    try:
+        retrieval_cfg = RetrievalConfig(**config["retrieval"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"invalid retrieval config: {exc}") from exc
+    gen = config["generator"]
+    if not isinstance(gen, dict) or gen.get("kind") not in ("extractive", "remote"):
+        raise DataError("generator config must set kind to 'extractive' or 'remote'")
+    endpoint = gen.get("endpoint")
+    # Case-insensitive, as requests reads the scheme.
+    if gen["kind"] == "remote" and not (
+        isinstance(endpoint, str) and endpoint.lower().startswith(("http://", "https://"))
+    ):
+        raise DataError(f"remote generator endpoint must be an http(s) URL, got {endpoint!r}")
+    max_facets = gen.get("max_facets", 5)
+    if not _is_int(max_facets) or max_facets < 1:
+        raise DataError(f"generator max_facets must be an integer >= 1, got {max_facets!r}")
+    emit_question = gen.get("emit_question", False)
+    if not isinstance(emit_question, bool):
+        raise DataError(f"generator emit_question must be true or false, got {emit_question!r}")
+    timeout = gen.get("timeout", 30.0)
+    if not (_is_finite_number(timeout) and timeout > 0):
+        raise DataError(f"generator timeout must be a finite number > 0, got {timeout!r}")
+    if retrieval_cfg.mode == "dense" and not has_embeddings:
+        raise DataError("dense retrieval requires an embeddings file")
+    if config.get("set_sim") not in (None, "indicator", "table"):
+        raise DataError("config set_sim must be 'indicator' or 'table'")
+    if config.get("set_sim") == "table" and not has_embeddings:
+        raise DataError("set_sim 'table' requires an embeddings file")
+    if not _is_int(config["seed"]):
+        raise DataError(f"config seed must be an integer, got {config['seed']!r}")
+    if not isinstance(config["output_dir"], str):
+        raise DataError(f"config output_dir must be a string, got {config['output_dir']!r}")
 
     corpus = load_corpus(paths["corpus"])
     instances = tuple(load_instances(paths["instances"]))
-    table = load_embeddings(paths["embeddings"]) if "embeddings" in paths else None
-    retrieval_cfg = RetrievalConfig(**config["retrieval"])
+    table = load_embeddings(paths["embeddings"]) if has_embeddings else None
     index, doc_table, query_embedder = None, table, None
     if retrieval_cfg.alignment in ("query_only", "facet_aligned"):
         if retrieval_cfg.mode == "lexical":
             index = build_inverted_index(corpus)
         else:
             doc_table, query_embedder = split_embeddings(table, corpus)
-    gen = config["generator"]
+    generator: GeneratorFn = extractive_generate
+    if gen["kind"] == "remote":
+        generator = partial(remote_generate, endpoint, timeout=float(timeout))
     return Resources(
         config=config,
         paths=paths,
@@ -603,9 +600,9 @@ def load_resources(config: dict | str | Path) -> Resources:
         index=index,
         doc_table=doc_table,
         query_embedder=query_embedder,
-        generator=_make_generator(gen),
-        max_facets=gen.get("max_facets", 5),
-        emit_question=gen.get("emit_question", False),
+        generator=generator,
+        max_facets=max_facets,
+        emit_question=emit_question,
         set_sim_embedder=table_embedder(table) if config.get("set_sim") == "table" else None,
     )
 
@@ -637,7 +634,6 @@ def sweep_csv_text(report: SweepReport) -> str:
 def run_experiment(
     config: dict | str | Path | Resources,
     parallelism: int | None = None,
-    write_outputs: bool = True,
 ) -> ExperimentReport:
     """Build pools, generate clarifications, evaluate, and write reports.
 
@@ -693,11 +689,10 @@ def run_experiment(
         skip_reasons=tuple(skips),
     )
 
-    if write_outputs:
-        out_dir = Path(res.config["output_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(out_dir / "report.json", report.to_dict())
-        atomic_write_text(out_dir / "summary.csv", summary_csv_text(report))
+    out_dir = Path(res.config["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    atomic_write_json(out_dir / "report.json", report.to_dict())
+    atomic_write_text(out_dir / "summary.csv", summary_csv_text(report))
     return report
 
 
@@ -736,13 +731,24 @@ def paired_bootstrap(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
 
     def extract(rows: Sequence[dict], name: str) -> dict[str, float]:
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(r, dict) for r in rows):
+            raise DataError(f"{name}: per-instance rows must be a list of objects")
         out = {}
         for row in rows:
             if "instance_id" not in row:
                 raise DataError(f"{name}: row missing 'instance_id'")
             if metric not in row:
                 raise DataError(f"{name}: row missing metric {metric!r}")
-            out[row["instance_id"]] = float(row[metric])
+            iid, value = row["instance_id"], row[metric]
+            if not isinstance(iid, str):
+                raise DataError(f"{name}: instance_id must be a string, got {iid!r}")
+            if iid in out:
+                raise DataError(f"{name}: instance_id {iid!r} is repeated")
+            if not _is_finite_number(value):
+                raise DataError(
+                    f"{name}: {metric} of {iid!r} must be a finite number, got {value!r}"
+                )
+            out[iid] = float(value)
         return out
 
     a = extract(rows_a, "A")

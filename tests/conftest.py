@@ -115,6 +115,7 @@ def mock_endpoint():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 

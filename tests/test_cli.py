@@ -561,15 +561,28 @@ class TestExperimentAndBootstrap:
             pytest.param("timeout", 10**400, id="timeout-10**400"),
             ("seed", True),
             ("seed", 1.5),
+            ("corpus", 5),
+            pytest.param("instances", ["x"], id="instances-list"),
+            pytest.param("embeddings", {}, id="embeddings-object"),
+            ("output_dir", 7),
+            ("endpoint", "localhost:9"),
+            ("endpoint", 5),
         ],
     )
     def test_bad_generator_or_seed_value_exits_2_writing_nothing(
-        self, data, tmp_path, capsys, key, value
+        self, data, tmp_path, capsys, monkeypatch, key, value
     ):
+        from clarikit import harness
+
         config = json.loads(data["config"].read_text())
-        (config if key == "seed" else config["generator"])[key] = value
+        top_level = ("seed", "corpus", "instances", "embeddings", "output_dir")
+        (config if key in top_level else config["generator"])[key] = value
+        if key == "endpoint":
+            config["generator"]["kind"] = "remote"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))  # json writes NaN and Infinity as such
+        loads = []
+        monkeypatch.setattr(harness, "load_corpus", loads.append)
         assert main(["experiment", "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -577,6 +590,33 @@ class TestExperimentAndBootstrap:
         assert f" {key} must be " in captured.err
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+        assert loads == []  # reported before any input file is read
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pool", "--out", "{out}"],
+            ["pool", "--instances", "{instances}", "--out", "{out}"],
+            ["align-stats", "--out", "{out}"],
+            ["loo", "--seed", "1", "--out", "{out}"],
+            ["sweep", "--n", "1,2", "--out", "{out}"],
+        ],
+        ids=["pool", "pool-instances", "align-stats", "loo", "sweep"],
+    )
+    def test_non_string_corpus_exits_2_writing_nothing(self, data, tmp_path, capsys, argv):
+        config = json.loads(data["config"].read_text())
+        config["corpus"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        before = sorted(tmp_path.iterdir())
+        fields = {"out": str(tmp_path / "result.out"), "instances": str(data["instances"])}
+        argv = [argv[0], "--config", str(path)] + [a.format(**fields) for a in argv[1:]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: config corpus must be ")
+        assert captured.err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_bootstrap_between_reports(self, data, tmp_path, capsys):
         main(["experiment", "--config", str(data["config"])])
@@ -602,17 +642,28 @@ class TestExperimentAndBootstrap:
         result = json.loads(capsys.readouterr().out)
         assert result["mean_diff"] == 0.0
 
+    def test_bootstrap_nan_metric_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        row = {"instance_id": "a", "exact_match_f1": float("nan")}
+        report.write_text(json.dumps({"per_instance": [row]}))  # json writes NaN as such
+        argv = ["bootstrap", "--a", str(report), "--b", str(report), "--metric", "exact_match_f1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: A: exact_match_f1 of 'a' must be ")
+        assert captured.err.count("\n") == 1
+
     def test_experiment_validates_config_once(self, data, tmp_path, capsys, monkeypatch):
         from clarikit import harness
 
         calls = []
-        validate = harness.validate_experiment_config
+        load_corpus = harness.load_corpus
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return validate(*args, **kwargs)
+            return load_corpus(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "validate_experiment_config", counting)
+        monkeypatch.setattr(harness, "load_corpus", counting)
         assert main(["experiment", "--config", str(data["config"])]) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.rstrip("\n").endswith(f"-> {tmp_path / 'out'}")

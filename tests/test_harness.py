@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import constant_generator
-from clarikit import harness
+from clarikit import harness, metrics
 from clarikit.corpus import ClarificationInstance, Corpus, Document, normalize
 from clarikit.errors import DataError
 from clarikit.generator import extractive_generate
@@ -116,6 +116,25 @@ class TestAlignmentStats:
     def test_empty_instances_rejected(self):
         with pytest.raises(DataError):
             alignment_stats([], oracle_builder())
+
+    def test_tokenizes_each_text_once(self, planted, monkeypatch):
+        calls = []
+
+        def counting_normalize(text, drop_stopwords=False):
+            calls.append(text)
+            return normalize(text, drop_stopwords)
+
+        # The metrics module is where term_overlap would tokenize again.
+        for module in (harness, metrics):
+            monkeypatch.setattr(module, "normalize", counting_normalize)
+        report = alignment_stats(
+            planted["instances"],
+            lambda i: build_pool(planted["aligned"], i, index=planted["index"]),
+            corpus=planted["corpus"],
+        )
+        assert report.exact_match_recall == 1.0
+        # One evidence text per instance, then each of its facets.
+        assert len(calls) == sum(1 + len(i.facets) for i in planted["instances"])
 
 
 class TestLooFaithfulness:
@@ -636,7 +655,8 @@ class TestRunExperiment:
         assert report.evaluated_count == 1
         assert report.per_instance[0][1].set_sim.f1 == 1.0
 
-    def test_config_hash_names_the_experiment_not_its_directory(self, tmp_path):
+    def test_config_hash_names_the_experiment_not_its_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the relative output_dir "out" lands here
         corpus = Corpus.from_docs([Document("d1", "cast and crew")])
         instances = [ClarificationInstance(id="i1", query="penny", facets=("cast",))]
         hashes = []
@@ -646,13 +666,13 @@ class TestRunExperiment:
             config = experiment_config(d, corpus, instances, {"alignment": "oracle", "k": 5})
             config.update(corpus="corpus.jsonl", instances="instances.jsonl", output_dir="out")
             (d / "config.json").write_text(json.dumps(config))
-            report = run_experiment(d / "config.json", write_outputs=False)
+            report = run_experiment(d / "config.json")
             hashes.append(report.config_hash)
         assert hashes[0] == hashes[1]
         # One byte of the corpus changes the hash.
         corpus_path = tmp_path / "b" / "corpus.jsonl"
         corpus_path.write_text(corpus_path.read_text().replace("cast", "cost"))
-        report = run_experiment(tmp_path / "b" / "config.json", write_outputs=False)
+        report = run_experiment(tmp_path / "b" / "config.json")
         assert report.config_hash != hashes[0]
 
     def test_config_validation_errors(self, tmp_path):
@@ -710,3 +730,46 @@ class TestPairedBootstrap:
         a = self.rows([0.2])
         with pytest.raises(DataError, match="term_overlap_f1"):
             paired_bootstrap(a, a, "term_overlap_f1")
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            pytest.param(5, "rows must be a list of objects", id="rows-not-a-list"),
+            pytest.param([7], "rows must be a list of objects", id="row-not-an-object"),
+            pytest.param(
+                [{"instance_id": ["a"], "exact_match_f1": 0.5}],
+                "instance_id must be a string",
+                id="id-not-a-string",
+            ),
+            pytest.param(
+                [{"instance_id": "a", "exact_match_f1": 0.5}] * 2,
+                "instance_id 'a' is repeated",
+                id="id-repeated",
+            ),
+            *(
+                pytest.param(
+                    [{"instance_id": "a", "exact_match_f1": value}],
+                    "exact_match_f1 of 'a' must be a finite number",
+                    id=f"metric-{name}",
+                )
+                for name, value in [
+                    ("list", [1]),
+                    ("nan", float("nan")),
+                    ("inf", float("-inf")),
+                    ("bool", True),
+                    ("string", "0.5"),
+                    ("int-beyond-float", 10**400),
+                ]
+            ),
+        ],
+    )
+    def test_malformed_rows_are_data_errors(self, rows, match):
+        good = self.rows([0.2])
+        with pytest.raises(DataError, match=match):
+            paired_bootstrap(rows, good, "exact_match_f1")
+        with pytest.raises(DataError, match=match):
+            paired_bootstrap(good, rows, "exact_match_f1")
+
+    def test_int_metric_values_are_accepted(self):
+        a = [{"instance_id": "a", "exact_match_f1": 0}, {"instance_id": "b", "exact_match_f1": 1}]
+        assert paired_bootstrap(a, a, "exact_match_f1", iterations=10).mean_diff == 0.0
