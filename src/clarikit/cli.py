@@ -155,10 +155,11 @@ def cmd_pool(args) -> int:
         # Swap the override in before loading, so the config's own instances
         # file is never read; made absolute, it resolves against the working
         # directory while the config's other inputs resolve against its own.
-        config = {
-            **read_json_object(Path(args.config), "config"),
-            "instances": str(Path(args.instances).absolute()),
-        }
+        config = read_json_object(Path(args.config), "config")
+        instances = Path(args.instances).absolute()
+        if not instances.exists():
+            raise DataError(f"--instances file not found: {instances}")
+        config["instances"] = str(instances)
     res = load_resources(config, base_dir=Path(args.config).parent)
     pools = []
     skipped = []

@@ -19,8 +19,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import requests
-
 from .corpus import normalize
 from .errors import GeneratorError, RetriableGeneratorError
 from .retrieval import interleave_round_robin
@@ -121,7 +119,13 @@ def remote_generate(
     response attached.  Returned facets are normalized and deduplicated,
     and truncated to max_facets with a logged warning if the service
     over-produces.
+
+    ``requests`` is imported here, on the first call, so the offline paths
+    never load an HTTP client; Python's import lock makes that first import
+    safe from many worker threads at once.
     """
+    import requests
+
     payload = {
         "query": request.query,
         "evidence": list(request.evidence_texts),

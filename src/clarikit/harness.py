@@ -20,7 +20,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -639,22 +638,28 @@ def run_experiment(
 
     Deterministic for a fixed (config, seed) regardless of parallelism:
     instances are processed as independent work units and reassembled in
-    input order.  Outputs (report.json, summary.csv in output_dir) are
-    written atomically, and only after the whole run succeeds.
+    input order.  ``output_dir`` is created once the config has loaded and
+    before the first instance runs, so a path that can never be a
+    directory raises ``OSError`` at once.  Outputs (report.json,
+    summary.csv in output_dir) are written atomically, and only after the
+    whole run succeeds.
 
     Only a remote generator runs on worker threads: ``parallelism`` of
     them, by default the CPU count, each doing pool, generate and evaluate
     for one instance at a time.  Threads overlap only the generator's
     network waits; retrieval, the extractive generator and the metrics
     are pure Python under the interpreter lock, so every other generator
-    runs all instances on the calling thread whatever ``parallelism`` says.
-    A ``parallelism`` that is not an integer >= 1 raises ``ValueError``.
+    runs all instances on the calling thread whatever ``parallelism`` says,
+    and never imports the thread pool.  A ``parallelism`` that is not an
+    integer >= 1 raises ``ValueError``.
 
     ``config`` is what :func:`load_resources` takes, or its result.
     """
     if parallelism is not None and (not _is_int(parallelism) or parallelism < 1):
         raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
     res = config if isinstance(config, Resources) else load_resources(config)
+    out_dir = Path(res.config["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def worker(
         inst: ClarificationInstance,
@@ -671,6 +676,8 @@ def run_experiment(
             return inst.id, None, str(exc)
 
     if res.config["generator"]["kind"] == "remote":
+        from concurrent.futures import ThreadPoolExecutor
+
         workers = parallelism or os.cpu_count() or 1
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
             results = list(pool_exec.map(worker, res.instances))
@@ -689,8 +696,6 @@ def run_experiment(
         skip_reasons=tuple(skips),
     )
 
-    out_dir = Path(res.config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_json(out_dir / "report.json", report.to_dict())
     atomic_write_text(out_dir / "summary.csv", summary_csv_text(report))
     return report

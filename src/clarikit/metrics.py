@@ -14,8 +14,9 @@ All four read one comparison: each facet is tokenized once, one table holds
 BLEU-1..4 per (generated, truth) pair, and one assignment is solved on its
 BLEU-1 column.  A facet counts its order-k n-grams only when a cell first
 reads them: a cell reads order k only when both facets have at least k
-tokens, and a cell with no shared unigram reads no higher order.  Set-Sim
-hands the canonical text straight to the lookup inside table_embedder and
+tokens, and a cell whose facets share no token is scored zero from their
+token sets, before either facet counts a gram.  Set-Sim hands the
+canonical text straight to the lookup inside table_embedder and
 indicator_embedder, since normalizing it again would give it back.  A
 punctuation-only facet normalizes to "" and earns no exact-match and no
 indicator Set-Sim credit.
@@ -289,7 +290,13 @@ class _Comparison:
 
     @cached_property
     def bleu(self) -> list[list[tuple[float, float, float, float]]]:
-        return [[_bleu(f, g) for g in self.truth] for f in self.generated]
+        # A cell whose facets share no token is _bleu's zero-unigram exit,
+        # taken here before either facet counts a gram.
+        truth = [(g, set(g.tokens)) for g in self.truth]
+        return [
+            [_NO_BLEU if vocab.isdisjoint(f.tokens) else _bleu(f, g) for g, vocab in truth]
+            for f in self.generated
+        ]
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:

@@ -187,6 +187,16 @@ class TestPool:
         assert main(["pool", "--config", str(data["config"]), "--out", str(expected)]) == 0
         assert out.read_bytes() == expected.read_bytes()
 
+    def test_missing_instances_override_names_the_flag(self, data, tmp_path, capsys):
+        out = tmp_path / "pools.jsonl"
+        argv = ["pool", "--config", str(data["config"]), "--out", str(out)]
+        missing = tmp_path / "nope.jsonl"
+        assert main(argv + ["--instances", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: --instances file not found: {missing}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -591,6 +601,26 @@ class TestExperimentAndBootstrap:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
         assert loads == []  # reported before any input file is read
+
+    def test_output_dir_that_is_a_file_exits_3_before_any_pool(
+        self, data, tmp_path, capsys, monkeypatch
+    ):
+        from clarikit import harness
+
+        built = []
+        monkeypatch.setattr(harness, "build_pool", lambda *args, **kwargs: built.append(args))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        config = json.loads(data["config"].read_text())
+        config["output_dir"] = str(blocker)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("io error: ")
+        assert captured.err.count("\n") == 1
+        assert built == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -479,17 +479,20 @@ class TestRunExperiment:
     def test_default_parallelism_threads_only_remote(
         self, planted, tmp_path, monkeypatch, mock_endpoint, kind, parallelism, workers
     ):
+        import concurrent.futures
+
         import clarikit.harness as harness
         from conftest import endpoint_url
 
         started = []
 
-        class RecordingExecutor(harness.ThreadPoolExecutor):
+        class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
+        # run_experiment imports the executor from its package when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         mock_endpoint.behavior = lambda req: (200, {"question": None, "facets": ["x"]}, 0.0)
         generator = {"kind": kind, "endpoint": endpoint_url(mock_endpoint)}
@@ -545,6 +548,31 @@ class TestRunExperiment:
             outputs.append([(out / n).read_bytes() for n in ("report.json", "summary.csv")])
         assert outputs[0] == outputs[1]
         assert len(mock_endpoint.requests) == 2 * len(planted["instances"])
+
+    def test_unwritable_output_dir_fails_before_any_pool(
+        self, planted, tmp_path, monkeypatch
+    ):
+        built = []
+
+        def counting_build_pool(*args, **kwargs):
+            built.append(args[1].id)
+            return build_pool(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_pool", counting_build_pool)
+        config = experiment_config(
+            tmp_path,
+            planted["corpus"],
+            planted["instances"],
+            {"alignment": "facet_aligned", "k": 5},
+        )
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        with pytest.raises(FileExistsError):
+            run_experiment({**config, "output_dir": str(blocker)})
+        assert built == []
+        assert blocker.read_text() == "a file, not a directory\n"
+        run_experiment(config)
+        assert len(built) == len(planted["instances"])
 
     def test_missing_corpus_fails_fast_without_output(self, tmp_path):
         config = {

@@ -1,4 +1,5 @@
-"""Every name a clarikit module or test file imports is read somewhere in that file.
+"""Imports: every name a clarikit module or test file imports is read
+somewhere in that file, and offline runs never load the HTTP client.
 
 ``__init__.py`` re-exports its imports and ``from __future__`` imports are
 compiler directives, so neither counts.  A name read only inside a string
@@ -6,6 +7,10 @@ annotation counts as read.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +78,59 @@ def test_string_annotations_count_as_reads():
     )
     assert set(imported_names(tree)) <= read_names(tree)
     assert "np" not in read_names(ast.parse("import numpy as np\nx = 'np'\n"))
+
+
+# Run in a fresh interpreter, so no other test's imports are in sys.modules.
+# It prints which of the remote path's modules are loaded after importing
+# clarikit, after an extractive run_experiment at parallelism 4, and after an
+# in-process `clarikit evaluate`.
+OFFLINE_RUN = """
+import json, sys
+from pathlib import Path
+
+import clarikit, clarikit.cli
+
+REMOTE_ONLY = ("requests", "urllib3", "concurrent.futures")
+loaded = lambda: [name for name in REMOTE_ONLY if name in sys.modules]
+tmp = Path(sys.argv[1])
+seen = [loaded()]
+
+def write(name, rows):
+    (tmp / name).write_text("".join(json.dumps(r) + "\\n" for r in rows), encoding="utf-8")
+
+write("corpus.jsonl", [{"id": "d1", "text": "penny cast"}, {"id": "d2", "text": "penny show"}])
+truth = [{"id": "i1", "query": "penny", "facets": ["cast", "show"]}]
+write("instances.jsonl", truth)
+write("generated.jsonl", [{"id": "i1", "facets": ["cast"]}])
+config = {
+    "corpus": str(tmp / "corpus.jsonl"),
+    "instances": str(tmp / "instances.jsonl"),
+    "retrieval": {"mode": "lexical", "alignment": "facet_aligned", "k": 5},
+    "generator": {"kind": "extractive"},
+    "seed": 1,
+    "output_dir": str(tmp / "out"),
+}
+assert clarikit.run_experiment(config, parallelism=4).evaluated_count == 1
+seen.append(loaded())
+argv = ["evaluate", "--generated", str(tmp / "generated.jsonl"),
+        "--truth", str(tmp / "instances.jsonl"), "--out", str(tmp / "evaluated.jsonl")]
+assert clarikit.cli.main(argv) == 0
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_offline_runs_never_import_the_http_client(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", OFFLINE_RUN, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_experiment, after_evaluate = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == after_experiment == after_evaluate == []

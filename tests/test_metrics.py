@@ -282,6 +282,16 @@ class TestBleuN:
         assert metrics_module._bleu(f, g) == (0.0, 0.0, 0.0, 0.0)
         assert len(f._grams) == len(g._grams) == 1
 
+    def test_disjoint_cells_build_no_grams(self):
+        # Every cell shares no token, so the table is all zeros and no facet
+        # counts even its unigrams.
+        generated, truth = ["alpha beta", "gamma", "..."], ["delta omega", "epsilon"]
+        comparison = metrics_module._Comparison(generated, truth)
+        assert comparison.bleu == [[(0.0, 0.0, 0.0, 0.0)] * 2] * 3
+        assert [f._grams for f in comparison.generated + comparison.truth] == [[]] * 5
+        for f, row in zip(generated, comparison.bleu):
+            assert row == [eager_bleu(f, g) for g in truth]
+
 
 class TestMatchFacetPairs:
     def test_single_positive_pair(self):
