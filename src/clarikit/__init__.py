@@ -14,7 +14,6 @@ from .corpus import (
     load_embeddings,
     load_instances,
     normalize,
-    save_corpus,
     stopwords,
 )
 from .errors import ClarikitError, DataError, GeneratorError, RetriableGeneratorError

@@ -19,6 +19,7 @@ from .corpus import iter_generated, load_corpus, load_embeddings, load_instances
 from .errors import DataError, GeneratorError
 from .harness import (
     _metric_csv_text,
+    _per_instance,
     alignment_stats,
     evidence_size_sweep,
     load_resources,
@@ -161,13 +162,8 @@ def cmd_pool(args) -> int:
             raise DataError(f"--instances file not found: {instances}")
         config["instances"] = str(instances)
     res = load_resources(config, base_dir=Path(args.config).parent)
-    pools = []
-    skipped = []
-    for inst in res.instances:
-        try:
-            pools.append(res.pool_for(inst))
-        except DataError as exc:
-            skipped.append((inst.id, str(exc)))
+    built, skipped = _per_instance(res.pool_for, res.instances)
+    pools = [pool for _, pool in built]
     write_pools(pools, args.out)
     for inst_id, reason in skipped:
         print(f"skipped {inst_id}: {reason}", file=sys.stderr)

@@ -21,7 +21,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError
-from .ioutils import atomic_write_text
 
 __all__ = [
     "normalize",
@@ -31,7 +30,6 @@ __all__ = [
     "ClarificationInstance",
     "EmbeddingTable",
     "load_corpus",
-    "save_corpus",
     "load_instances",
     "load_embeddings",
     "iter_generated",
@@ -221,8 +219,8 @@ class EmbeddingTable:
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (1-based line number, parsed object) for every non-blank line.
 
-    The toolkit's one JSONL reader: corpus, instance, embedding, generated
-    facet and pool files are all read through it.
+    The toolkit's one JSONL reader: corpus, instance, embedding and
+    generated facet files are all read through it.
     """
     path = Path(path)
     if not path.exists():
@@ -299,12 +297,6 @@ def load_corpus(path: str | Path) -> Corpus:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
         docs.append(doc)
     return Corpus(docs=tuple(docs))
-
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back out as JSONL; load_corpus(save_corpus(c)) == c."""
-    lines = [json.dumps({"id": d.id, "text": d.text}, ensure_ascii=False) for d in corpus.docs]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 def load_instances(path: str | Path) -> list[ClarificationInstance]:

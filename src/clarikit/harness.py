@@ -13,7 +13,6 @@ are deterministic given their inputs and seed.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -23,7 +22,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -82,6 +81,26 @@ __all__ = [
 
 GeneratorFn = Callable[[GeneratorRequest], Clarification]
 PoolBuilder = Callable[[ClarificationInstance], EvidencePool]
+
+
+def _per_instance(
+    step: Callable, instances: Iterable[ClarificationInstance], *args: Iterable, map_fn=map
+) -> tuple[list[tuple[ClarificationInstance, object]], list[tuple[str, str]]]:
+    """Run ``step(instance, *items)`` on each instance through ``map_fn``,
+    which zips ``args`` alongside ``instances`` as :func:`map` does.
+
+    Returns the (instance, result) pairs in input order and the ``(id, reason)``
+    of each instance whose step raised a :class:`ClarikitError`; others propagate.
+    """
+    def guarded(inst: ClarificationInstance, *items):
+        try:
+            return inst, step(inst, *items), None
+        except ClarikitError as exc:
+            return inst, None, str(exc)
+
+    results = list(map_fn(guarded, instances, *args))
+    done = [(inst, result) for inst, result, reason in results if reason is None]
+    return done, [(inst.id, reason) for inst, _, reason in results if reason is not None]
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -143,11 +162,12 @@ def alignment_stats(
     skips: list[tuple[str, str]] = []
     config: RetrievalConfig | None = None
     for inst in instances:
-        try:
-            pool = pool_builder(inst)
-        except ClarikitError as exc:
-            skips.append((inst.id, str(exc)))
+        # One at a time: an error that propagates stops before later pools.
+        built, skipped = _per_instance(pool_builder, [inst])
+        skips += skipped
+        if not built:
             continue
+        pool = built[0][1]
         if config is None:
             config = pool.builder_config
         texts = resolve_texts(pool, corpus, inst)
@@ -249,34 +269,29 @@ def loo_faithfulness(
         raise ValueError(f"unknown metric kind {metric_kind!r}")
     if not instances:
         raise DataError("no instances given")
-    per: list[tuple[str, int, float, float]] = []
-    skips: list[tuple[str, str]] = []
-    for inst in instances:
+
+    def step(inst: ClarificationInstance) -> tuple[int, float, float]:
         rng = random.Random(f"{seed}:{inst.id}")
         facet_idx = rng.randrange(len(inst.facets))
         facet = inst.facets[facet_idx]
         label = facet_label(facet_idx)
-        try:
-            pool = build_pool(base_pool_config, inst, index, table, query_embedder)
-            texts = resolve_texts(pool, corpus, inst)
-            clar = generator(
-                GeneratorRequest(inst.query, tuple(texts), max_facets, emit_question)
-            )
-            recall = _facet_recall(metric_kind, clar.facets, facet)
+        pool = build_pool(base_pool_config, inst, index, table, query_embedder)
+        texts = resolve_texts(pool, corpus, inst)
+        clar = generator(GeneratorRequest(inst.query, tuple(texts), max_facets, emit_question))
+        recall = _facet_recall(metric_kind, clar.facets, facet)
 
-            if sole_provenance_only:
-                keep = [e.provenance != frozenset({label}) for e in pool.entries]
-            else:
-                keep = [label not in e.provenance for e in pool.entries]
-            loo_texts = [text for text, kept in zip(texts, keep) if kept]
-            loo_clar = generator(
-                GeneratorRequest(inst.query, tuple(loo_texts), max_facets, emit_question)
-            )
-            recall_loo = _facet_recall(metric_kind, loo_clar.facets, facet)
-        except ClarikitError as exc:
-            skips.append((inst.id, str(exc)))
-            continue
-        per.append((inst.id, facet_idx, recall, recall_loo))
+        if sole_provenance_only:
+            keep = [e.provenance != frozenset({label}) for e in pool.entries]
+        else:
+            keep = [label not in e.provenance for e in pool.entries]
+        loo_texts = [text for text, kept in zip(texts, keep) if kept]
+        loo_clar = generator(
+            GeneratorRequest(inst.query, tuple(loo_texts), max_facets, emit_question)
+        )
+        return facet_idx, recall, _facet_recall(metric_kind, loo_clar.facets, facet)
+
+    done, skips = _per_instance(step, instances)
+    per = [(inst.id, *result) for inst, result in done]
 
     recall = _mean([r for _, _, r, _ in per])
     recall_loo = _mean([r for _, _, _, r in per])
@@ -352,36 +367,29 @@ def evidence_size_sweep(
         raise DataError("no instances given")
 
     build_config = replace(pool_config, k=max(max(n_values), pool_config.k))
-    built: list[tuple[ClarificationInstance, list[str]]] = []
-    skips: list[tuple[str, str]] = []
-    for inst in instances:
-        try:
-            pool = build_pool(
-                build_config, inst, index=index, table=table, query_embedder=query_embedder
-            )
-            built.append((inst, resolve_texts(pool, corpus, inst)))
-        except ClarikitError as exc:
-            skips.append((inst.id, f"pool: {exc}"))
 
+    def pool_texts(inst: ClarificationInstance) -> list[str]:
+        pool = build_pool(build_config, inst, index, table, query_embedder)
+        return resolve_texts(pool, corpus, inst)
+
+    def evaluate_at(n: int, inst: ClarificationInstance, texts: list[str]) -> MetricReport:
+        clar = generator(GeneratorRequest(inst.query, tuple(texts[:n]), max_facets, emit_question))
+        return evaluate_instance(clar.facets, inst.facets, embedder)
+
+    built, pool_skips = _per_instance(pool_texts, instances)
+    skips = [(iid, f"pool: {reason}") for iid, reason in pool_skips]
     points: list[SweepPoint] = []
     for n in n_values:
-        reports: list[MetricReport] = []
-        skipped_here = 0
-        for inst, texts in built:
-            try:
-                clar = generator(
-                    GeneratorRequest(inst.query, tuple(texts[:n]), max_facets, emit_question)
-                )
-                reports.append(evaluate_instance(clar.facets, inst.facets, embedder))
-            except ClarikitError as exc:
-                skips.append((inst.id, f"n={n}: {exc}"))
-                skipped_here += 1
+        done, skipped = _per_instance(
+            partial(evaluate_at, n), [inst for inst, _ in built], [t for _, t in built]
+        )
+        skips += [(iid, f"n={n}: {reason}") for iid, reason in skipped]
         points.append(
             SweepPoint(
                 n_evidence=n,
-                report=mean_report(reports),
-                evaluated_count=len(reports),
-                skipped_count=skipped_here,
+                report=mean_report([report for _, report in done]),
+                evaluated_count=len(done),
+                skipped_count=len(skipped),
             )
         )
     return SweepReport(points=tuple(points), skip_reasons=tuple(skips))
@@ -474,6 +482,8 @@ def _is_finite_number(value) -> bool:
 
 def _config_hash(config: dict, paths: dict[str, Path]) -> str:
     """sha256 over the config as written and the sha256 of each input file."""
+    import hashlib  # here, so commands that hash nothing never load OpenSSL
+
     inputs = {}
     for key, path in paths.items():
         # Small chunks: the run's index is still alive when this runs, so
@@ -661,31 +671,23 @@ def run_experiment(
     out_dir = Path(res.config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def worker(
-        inst: ClarificationInstance,
-    ) -> tuple[str, MetricReport | None, str | None]:
-        try:
-            pool = res.pool_for(inst)
-            texts = resolve_texts(pool, res.corpus, inst)
-            clar = res.generator(
-                GeneratorRequest(inst.query, tuple(texts), res.max_facets, res.emit_question)
-            )
-            report = evaluate_instance(clar.facets, inst.facets, res.set_sim_embedder)
-            return inst.id, report, None
-        except ClarikitError as exc:
-            return inst.id, None, str(exc)
+    def step(inst: ClarificationInstance) -> MetricReport:
+        texts = resolve_texts(res.pool_for(inst), res.corpus, inst)
+        clar = res.generator(
+            GeneratorRequest(inst.query, tuple(texts), res.max_facets, res.emit_question)
+        )
+        return evaluate_instance(clar.facets, inst.facets, res.set_sim_embedder)
 
     if res.config["generator"]["kind"] == "remote":
         from concurrent.futures import ThreadPoolExecutor
 
         workers = parallelism or os.cpu_count() or 1
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(worker, res.instances))
+            done, skips = _per_instance(step, res.instances, map_fn=pool_exec.map)
     else:
-        results = [worker(inst) for inst in res.instances]
+        done, skips = _per_instance(step, res.instances)
 
-    per_instance = [(iid, rep) for iid, rep, _ in results if rep is not None]
-    skips = [(iid, reason) for iid, _, reason in results if reason is not None]
+    per_instance = [(inst.id, rep) for inst, rep in done]
     report = ExperimentReport(
         config_hash=_config_hash(res.config, res.paths),
         seed=res.config["seed"],

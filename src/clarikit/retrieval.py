@@ -31,7 +31,6 @@ from .corpus import (
     Corpus,
     EmbeddingTable,
     _check_vector,
-    iter_jsonl,
     normalize,
 )
 from .errors import DataError
@@ -53,7 +52,6 @@ __all__ = [
     "entry_text",
     "resolve_texts",
     "write_pools",
-    "read_pools",
     "ORACLE_ID_PREFIX",
 ]
 
@@ -86,8 +84,8 @@ class InvertedIndex:
     in ascending document ordinal.  The doc-major layout, the forward
     index, is derived from it on first use (see :attr:`forward`).
 
-    ``term_ids`` maps each term to its id.  Two indexes are equal when they
-    hold the same documents, lengths, term ids and postings.
+    ``term_ids`` maps each term to its id.  Indexes compare by identity,
+    since a field-wise ``==`` would compare numpy arrays.
     """
 
     term_ids: dict[str, int]
@@ -106,10 +104,6 @@ class InvertedIndex:
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
-
-    @property
-    def term_count(self) -> int:
-        return len(self.term_ids)
 
     @cached_property
     def ordinal_of(self) -> dict[str, int]:
@@ -135,19 +129,6 @@ class InvertedIndex:
             return self.ordinals[:0], self.tfs[:0]
         lo, hi = self.offsets[t], self.offsets[t + 1]
         return self.ordinals[lo:hi], self.tfs[lo:hi]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InvertedIndex):
-            return NotImplemented
-        return (
-            self.doc_ids == other.doc_ids
-            and self.term_ids == other.term_ids
-            and self.avg_doc_len == other.avg_doc_len
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("offsets", "ordinals", "tfs", "doc_lengths")
-            )
-        )
 
 
 def _transpose(
@@ -729,30 +710,8 @@ def pool_to_dict(pool: EvidencePool) -> dict:
     }
 
 
-def pool_from_dict(raw: dict) -> EvidencePool:
-    try:
-        config = RetrievalConfig(**raw["config"])
-        entries = tuple(
-            PoolEntry(
-                doc_id=e["doc_id"],
-                score=float(e["score"]),
-                provenance=frozenset(e["provenance"]),
-            )
-            for e in raw["entries"]
-        )
-        return EvidencePool(
-            instance_id=raw["instance_id"], entries=entries, builder_config=config
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed pool record: {exc}") from exc
-
-
 def write_pools(pools: Sequence[EvidencePool], path: str | Path) -> None:
     from .ioutils import atomic_write_text
 
     lines = [json.dumps(pool_to_dict(p), sort_keys=True) for p in pools]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_pools(path: str | Path) -> list[EvidencePool]:
-    return [pool_from_dict(raw) for _, raw in iter_jsonl(path)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
-import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -91,8 +91,8 @@ class MockGeneratorHandler(BaseHTTPRequestHandler):
         request_body = json.loads(self.rfile.read(length)) if length else {}
         self.server.requests.append(request_body)
         status, body, delay = self.server.behavior(request_body)
-        if delay:
-            time.sleep(delay)
+        if delay and self.server.closing.wait(delay):
+            return  # torn down mid-delay: the client has given up, write nothing
         payload = body if isinstance(body, (bytes, str)) else json.dumps(body)
         if isinstance(payload, str):
             payload = payload.encode("utf-8")
@@ -106,17 +106,35 @@ class MockGeneratorHandler(BaseHTTPRequestHandler):
         pass
 
 
+class MockGeneratorServer(ThreadingHTTPServer):
+    """Closing joins every handler thread; a handler's exception is recorded
+    in ``errors`` instead of printed, so the fixture can fail its test."""
+
+    daemon_threads = False
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), MockGeneratorHandler)
+        self.requests = []
+        self.behavior = lambda req: (200, {"question": None, "facets": ["cast"]}, 0)
+        self.closing = threading.Event()
+        self.errors = []
+
+    def handle_error(self, request, client_address):
+        self.errors.append(traceback.format_exc())
+
+
 @pytest.fixture()
 def mock_endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), MockGeneratorHandler)
-    server.requests = []
-    server.behavior = lambda req: (200, {"question": None, "facets": ["cast"]}, 0)
+    server = MockGeneratorServer()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
+    server.closing.set()
     server.shutdown()
     server.server_close()
     thread.join(timeout=2)
+    if server.errors:
+        pytest.fail("mock endpoint handler raised:\n" + "\n".join(server.errors))
 
 
 def endpoint_url(server) -> str:

@@ -10,7 +10,6 @@ from conftest import make_planted
 from clarikit.cli import main
 from clarikit.corpus import load_corpus, normalize
 from clarikit.ioutils import atomic_write_text
-from clarikit.retrieval import read_pools
 
 
 def write_jsonl(path, rows):
@@ -161,9 +160,23 @@ class TestPool:
     def test_writes_pools(self, data, tmp_path, capsys):
         out = tmp_path / "pools.jsonl"
         assert main(["pool", "--config", str(data["config"]), "--out", str(out)]) == 0
-        pools = read_pools(out)
-        assert len(pools) == 6
-        assert all(len(p.entries) <= 5 for p in pools)
+        pools = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [p["instance_id"] for p in pools] == [f"inst{i}" for i in range(6)]
+        assert all(1 <= len(p["entries"]) <= 5 for p in pools)
+        assert all(set(p) == {"instance_id", "config", "entries"} for p in pools)
+        entries = [e for p in pools for e in p["entries"]]
+        assert all(set(e) == {"doc_id", "score", "provenance"} for e in entries)
+
+    def test_failing_pool_is_skipped(self, data, tmp_path, capsys):
+        rows = [json.loads(line) for line in data["instances"].read_text().splitlines()]
+        rows.insert(2, {"id": "blank", "query": "?!", "facets": ["fct0x0a"]})
+        write_jsonl(data["instances"], rows)
+        out = tmp_path / "pools.jsonl"
+        assert main(["pool", "--config", str(data["config"]), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "skipped blank: empty query\n"
+        assert captured.out == f"wrote 6 pools to {out} (1 skipped)\n"
+        assert "blank" not in out.read_text()
 
     @pytest.mark.parametrize("own_instances", ["missing", "malformed"])
     def test_instances_override_never_reads_config_instances(

@@ -17,7 +17,6 @@ from clarikit.corpus import (
     load_embeddings,
     load_instances,
     normalize,
-    save_corpus,
     stopwords,
 )
 from clarikit.errors import DataError
@@ -184,16 +183,6 @@ class TestLoadCorpus:
         path = self.write(tmp_path, ['{"id": "a", "text": "   "}'])
         with pytest.raises(DataError, match="empty text"):
             load_corpus(path)
-
-    def test_round_trip(self, tmp_path):
-        path = self.write(
-            tmp_path,
-            ['{"id": "d1", "text": "hello world"}', '{"id": "d2", "text": "Unicode café"}'],
-        )
-        corpus = load_corpus(path)
-        out = tmp_path / "again.jsonl"
-        save_corpus(corpus, out)
-        assert load_corpus(out) == corpus
 
 
 class TestLoadInstances:

@@ -3,6 +3,7 @@ full runs, and the paired bootstrap."""
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,17 +11,24 @@ from hypothesis import given, strategies as st
 from conftest import constant_generator
 from clarikit import harness, metrics
 from clarikit.corpus import ClarificationInstance, Corpus, Document, normalize
-from clarikit.errors import DataError
+from clarikit.errors import DataError, GeneratorError
 from clarikit.generator import extractive_generate
 from clarikit.harness import (
     alignment_stats,
     evidence_size_sweep,
+    load_resources,
     loo_faithfulness,
     paired_bootstrap,
     run_experiment,
     taxonomy_analysis,
 )
-from clarikit.retrieval import RetrievalConfig, build_inverted_index, build_pool
+from clarikit.retrieval import (
+    EvidencePool,
+    PoolEntry,
+    RetrievalConfig,
+    build_inverted_index,
+    build_pool,
+)
 
 
 def oracle_builder(k=5):
@@ -101,6 +109,29 @@ class TestAlignmentStats:
         assert report.skipped_count == 1
         assert report.skip_reasons == (("inst3", "synthetic failure"),)
         assert report.evaluated_count == len(planted["instances"]) - 1
+
+    @pytest.mark.parametrize("fault", ["unknown document", "empty truth"])
+    def test_only_pool_builder_errors_are_skips(self, planted, fault):
+        inst = planted["instances"][0]
+        if fault == "unknown document":
+            entry = PoolEntry(doc_id="nope", score=1.0, provenance=frozenset({"Q"}))
+            pool = EvidencePool(inst.id, (entry,), planted["aligned"])
+            builder, match = (lambda i: pool), "unknown document id 'nope'"
+        else:
+            inst = replace(inst, facets=("?!",))
+            builder = lambda i: build_pool(planted["aligned"], i, index=planted["index"])
+            match = "truth facets normalize to an empty token set"
+        built = []
+
+        def recording(i):
+            built.append(i.id)
+            return builder(i)
+
+        # The error is raised before the next instance's pool is built.
+        later = planted["instances"][1]
+        with pytest.raises(DataError, match=match):
+            alignment_stats([inst, later], recording, corpus=planted["corpus"])
+        assert built == [inst.id]
 
     def test_aggregates_equal_per_instance_means(self, planted):
         report = alignment_stats(
@@ -299,6 +330,28 @@ class TestEvidenceSizeSweep:
             assert point.evaluated_count == 0
             assert point.skipped_count == 4
         assert any("no evidence" in reason for _, reason in report.skip_reasons)
+
+    def test_skip_reasons_keep_their_prefix_and_order(self, planted):
+        def refuse_topic1(request):
+            if request.query == "topic1":
+                raise GeneratorError("refused")
+            return extractive_generate(request)
+
+        instances = planted["instances"][:2] + [BLANK] + planted["instances"][2:3]
+        report = evidence_size_sweep(
+            instances,
+            refuse_topic1,
+            planted["aligned"],
+            [1, 3],
+            corpus=planted["corpus"],
+            index=planted["index"],
+        )
+        assert report.skip_reasons == (
+            ("blank", "pool: empty query"),
+            ("inst1", "n=1: refused"),
+            ("inst1", "n=3: refused"),
+        )
+        assert [(p.evaluated_count, p.skipped_count) for p in report.points] == [(2, 1)] * 2
 
     def test_more_aligned_evidence_helps_on_planted(self, planted):
         # With one document the pool holds only a distractor; by n=3 both
@@ -717,6 +770,85 @@ class TestRunExperiment:
         bad = dict(config, retrieval={"mode": "dense", "alignment": "query_only", "k": 5})
         with pytest.raises(DataError, match="embeddings"):
             run_experiment(bad)
+
+
+# An instance whose query normalizes to nothing, so every lexical pool built
+# for it fails with "empty query".
+BLANK = ClarificationInstance(id="blank", query="?!", facets=("fct0x0a fct0x0b",))
+
+
+def run_alignment_stats(planted, instances, generator, tmp_path):
+    return alignment_stats(
+        instances,
+        lambda inst: build_pool(planted["aligned"], inst, index=planted["index"]),
+        corpus=planted["corpus"],
+    )
+
+
+def run_loo(planted, instances, generator, tmp_path):
+    return loo_faithfulness(
+        instances, generator, planted["aligned"], corpus=planted["corpus"], index=planted["index"]
+    )
+
+
+def run_sweep(planted, instances, generator, tmp_path):
+    return evidence_size_sweep(
+        instances,
+        generator,
+        planted["aligned"],
+        [1, 3],
+        corpus=planted["corpus"],
+        index=planted["index"],
+    )
+
+
+def experiment_runner(kind):
+    """run_experiment with ``generator`` in place of the config's own; a
+    remote kind takes the thread-pool path without calling its endpoint."""
+
+    def run(planted, instances, generator, tmp_path):
+        config = experiment_config(
+            tmp_path,
+            planted["corpus"],
+            instances,
+            {"mode": "lexical", "alignment": "facet_aligned", "k": 5},
+            generator={"kind": kind, "endpoint": "http://127.0.0.1:9/unused"},
+        )
+        res = replace(load_resources(config), generator=generator)
+        return run_experiment(res, parallelism=2)
+
+    return run
+
+
+GENERATING_RUNNERS = {
+    "loo_faithfulness": run_loo,
+    "evidence_size_sweep": run_sweep,
+    "run_experiment": experiment_runner("extractive"),
+    "run_experiment-remote": experiment_runner("remote"),
+}
+RUNNERS = {"alignment_stats": run_alignment_stats, **GENERATING_RUNNERS}
+
+
+class TestSkipRule:
+    """A ClarikitError on one instance skips it with its message as the
+    reason, and the run goes on; any other error propagates."""
+
+    @pytest.mark.parametrize("name", RUNNERS)
+    def test_failing_pool_is_skipped(self, planted, tmp_path, name):
+        instances = planted["instances"][:2] + [BLANK] + planted["instances"][2:4]
+        report = RUNNERS[name](planted, instances, extractive_generate, tmp_path)
+        prefix = "pool: " if name == "evidence_size_sweep" else ""
+        assert report.skip_reasons == (("blank", f"{prefix}empty query"),)
+        points = getattr(report, "points", [report])
+        assert [p.evaluated_count for p in points] == [4] * len(points)
+
+    @pytest.mark.parametrize("runner", GENERATING_RUNNERS.values(), ids=GENERATING_RUNNERS)
+    def test_other_errors_propagate(self, planted, tmp_path, runner):
+        def broken(request):
+            raise RuntimeError("generator bug")
+
+        with pytest.raises(RuntimeError, match="generator bug"):
+            runner(planted, planted["instances"][:3], broken, tmp_path)
 
 
 class TestPairedBootstrap:

@@ -1,5 +1,6 @@
 """Imports: every name a clarikit module or test file imports is read
-somewhere in that file, and offline runs never load the HTTP client.
+somewhere in that file, offline runs never load the HTTP client, and only
+a run that hashes its config loads hashlib.
 
 ``__init__.py`` re-exports its imports and ``from __future__`` imports are
 compiler directives, so neither counts.  A name read only inside a string
@@ -120,17 +121,29 @@ print(json.dumps(seen))
 """
 
 
-def test_offline_runs_never_import_the_http_client(tmp_path):
+def run_fresh(code: str, *args: str):
+    """Run ``code`` in a fresh interpreter; its last stdout line, as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", OFFLINE_RUN, str(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    after_import, after_experiment, after_evaluate = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_offline_runs_never_import_the_http_client(tmp_path):
+    after_import, after_experiment, after_evaluate = run_fresh(OFFLINE_RUN, str(tmp_path))
     assert after_import == after_experiment == after_evaluate == []
+
+
+def test_importing_the_cli_never_loads_hashlib():
+    # Only run_experiment's config hash needs it.
+    code = (
+        "import json, sys\n"
+        "import clarikit, clarikit.cli\n"
+        "print(json.dumps([m for m in ('hashlib', '_hashlib') if m in sys.modules]))\n"
+    )
+    assert run_fresh(code) == []

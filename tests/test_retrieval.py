@@ -26,8 +26,6 @@ from clarikit.retrieval import (
     embedding_similarity,
     interleave_round_robin,
     mmr_rerank,
-    pool_from_dict,
-    pool_to_dict,
     resolve_texts,
     tfidf_similarity,
 )
@@ -195,7 +193,7 @@ class TestInvertedIndex:
 
     def test_corpus_without_tokens(self):
         index = build_inverted_index(corpus_of({"d": "...", "e": "?!"}))
-        assert index.term_count == 0
+        assert len(index.term_ids) == 0
         assert index.offsets.tolist() == [0]
         assert index.doc_lengths.tolist() == [0, 0]
         assert index.avg_doc_len == 0.0
@@ -214,7 +212,7 @@ class TestInvertedIndex:
             assert got.tobytes() == want.tobytes(), name
             assert not got.flags.writeable, name
         assert index.avg_doc_len == expected.avg_doc_len
-        assert index == expected
+        assert index.doc_ids == expected.doc_ids
 
     def test_shared_term_two_entries(self):
         index = build_inverted_index(corpus_of({"d1": "x y", "d2": "x z"}))
@@ -222,25 +220,13 @@ class TestInvertedIndex:
 
     def test_deterministic_rebuild(self):
         corpus = corpus_of({"d1": "a b", "d2": "b c"})
-        assert build_inverted_index(corpus) == build_inverted_index(corpus)
-
-    @pytest.mark.parametrize("field", ["tfs", "doc_lengths", "avg_doc_len", "doc_ids"])
-    def test_indexes_differing_in_one_field_are_unequal(self, field):
-        index = build_inverted_index(corpus_of({"d1": "a b a", "d2": "b c"}))
-        if field in ("tfs", "doc_lengths"):
-            value = getattr(index, field).copy()
-            value[0] += 1
-        elif field == "avg_doc_len":
-            value = index.avg_doc_len + 0.5
-        else:
-            value = index.doc_ids[::-1]
-        assert replace(index, **{field: value}) != index
-        assert replace(index) == index
-
-    def test_comparing_with_a_non_index_is_not_implemented(self):
-        index = build_inverted_index(corpus_of({"d": "a"}))
-        assert index.__eq__(object()) is NotImplemented
-        assert index != "a"
+        first, second = build_inverted_index(corpus), build_inverted_index(corpus)
+        assert list(first.term_ids.items()) == list(second.term_ids.items())
+        assert (first.doc_ids, first.avg_doc_len) == (second.doc_ids, second.avg_doc_len)
+        for name in ("offsets", "ordinals", "tfs", "doc_lengths"):
+            got, want = getattr(first, name), getattr(second, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
@@ -669,11 +655,6 @@ class TestBuildPool:
         cfg = RetrievalConfig(mode="dense", alignment="query_only", k=1)
         with pytest.raises(DataError, match="leiden"):
             build_pool(cfg, inst, table=table)
-
-    def test_pool_round_trip(self, planted):
-        inst = planted["instances"][2]
-        pool = build_pool(planted["aligned"], inst, index=planted["index"])
-        assert pool_from_dict(pool_to_dict(pool)) == pool
 
 
 # Text that stresses the case and punctuation rules of normalize at a join:
