@@ -216,11 +216,16 @@ class EmbeddingTable:
         return len(self.ids)
 
 
+_DECODE = json.JSONDecoder().raw_decode
+
+
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (1-based line number, parsed object) for every non-blank line.
 
     The toolkit's one JSONL reader: corpus, instance, embedding and
-    generated facet files are all read through it.
+    generated facet files are all read through it.  Each stripped line goes
+    to json's C scanner in one ``raw_decode`` call; a leading BOM and text
+    after the value fail as they do in ``json.loads``, with its messages.
     """
     path = Path(path)
     if not path.exists():
@@ -231,7 +236,13 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                if line[0] == "\ufeff":
+                    raise json.JSONDecodeError(
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                    )
+                obj, end = _DECODE(line)
+                if end != len(line):  # the line is stripped: no whitespace follows
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
             except RecursionError as exc:
@@ -287,15 +298,24 @@ def load_corpus(path: str | Path) -> Corpus:
     docs: list[Document] = []
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
-        doc = Document(
-            id=_require_str(obj, "id", path, lineno),
-            text=_require_str(obj, "text", path, lineno),
-        )
-        try:
-            _check_document(doc, seen)
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        docs.append(doc)
+        doc_id, text = obj.get("id"), obj.get("text")
+        if not (
+            type(doc_id) is str
+            and type(text) is str
+            and doc_id
+            and doc_id not in seen
+            and text.strip()
+        ):  # the line breaks the contract: word the error with its checks
+            doc = Document(
+                id=_require_str(obj, "id", path, lineno),
+                text=_require_str(obj, "text", path, lineno),
+            )
+            try:
+                _check_document(doc, seen)
+            except DataError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        seen.add(doc_id)
+        docs.append(Document(id=doc_id, text=text))
     return Corpus(docs=tuple(docs))
 
 
@@ -344,26 +364,73 @@ def iter_generated(path: str | Path) -> Iterator[tuple[str, list[str]]]:
         yield gen_id, facets
 
 
+_EMBEDDING_BLOCK_ROWS = 128  # rows per numpy check; bounded, so memory stays flat
+
+
+def _append_rows(
+    out: array, block: list[tuple[int, str, object]], dim: int | None, path: Path | str
+) -> int | None:
+    """Check a block of (line number, id, vector) rows, append them to ``out``
+    as float64 and empty the block; returns the table's dimension.
+
+    One ``np.array`` built without a dtype, so strings and nulls do not
+    pass, checks the whole block when every vector is a flat list of finite
+    numbers of width ``dim``.  Otherwise each row is re-checked with
+    :func:`_check_vector`, so the first bad line gets its error.
+    """
+    if not block:
+        return dim
+    try:
+        matrix = np.array([vector for _, _, vector in block])
+    except (ValueError, TypeError, OverflowError):
+        matrix = None
+    if not (
+        matrix is not None
+        and matrix.dtype.kind in "biuf"
+        and matrix.ndim == 2
+        and matrix.shape[1] != 0
+        and matrix.shape[1] == (dim or matrix.shape[1])
+        and np.isfinite(matrix).all()
+    ):
+        vectors = []
+        for lineno, key, vector in block:
+            try:
+                vectors.append(_check_vector(key, vector, dim))
+            except DataError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            dim = vectors[0].shape[0]
+        matrix = np.array(vectors)
+    out.frombytes(matrix.astype(np.float64, copy=False).tobytes())
+    block.clear()
+    return matrix.shape[1]
+
+
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load an embedding table from JSONL ({"id","vector"} per line).
 
     The dimensionality is fixed by the first line; later lines must agree.
+    Rows are checked in blocks of :data:`_EMBEDDING_BLOCK_ROWS` (see
+    :func:`_append_rows`); the first bad line in file order is the one
+    reported, whatever its fault.
     """
     ids: dict[str, None] = {}  # an ordered set: file order, for the duplicate check
     rows = array("d")  # one growing buffer, not per-row arrays stacked at the end
+    block: list[tuple[int, str, object]] = []
     dim: int | None = None
     for lineno, obj in iter_jsonl(path):
-        key = _require_str(obj, "id", path, lineno)
-        vector = _require(obj, "vector", path, lineno)
-        try:
-            vec = _check_vector(key, vector, dim)
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        if key in ids:
+        key = obj.get("id")
+        if type(key) is not str or "vector" not in obj or key in ids:
+            dim = _append_rows(rows, block, dim, path)  # earlier lines are reported first
+            key = _require_str(obj, "id", path, lineno)
+            vector = _require(obj, "vector", path, lineno)
+            # A bad vector on this line is reported before its duplicate id.
+            _append_rows(rows, [(lineno, key, vector)], dim, path)
             raise DataError(f"{path}: line {lineno}: duplicate embedding id {key!r}")
-        dim = vec.shape[0]
         ids[key] = None
-        rows.frombytes(vec.tobytes())
+        block.append((lineno, key, obj["vector"]))
+        if len(block) == _EMBEDDING_BLOCK_ROWS:
+            dim = _append_rows(rows, block, dim, path)
+    dim = _append_rows(rows, block, dim, path)
     if dim is None:
         raise DataError(f"{path}: no embeddings found")
     return EmbeddingTable(ids=tuple(ids), matrix=np.frombuffer(rows).reshape(len(ids), dim))

@@ -136,13 +136,21 @@ def _transpose(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The CSR of the transposed matrix: (offsets, row ids, values) per column.
 
-    The sort is stable, so within each column the rows stay ascending.
+    Entry ``i`` gets the unique key ``cols[i] * n + i``, ``n`` entries in
+    all.  One in-place sort orders the keys by column and then by entry, so
+    within each column the rows stay ascending, and ``keys % n`` is the
+    order in which to gather rows and values.
     """
+    n = len(cols)
     rows = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
-    order = np.argsort(cols, kind="stable")
+    # Below 2**31 columns and entries, every key is below 2**62.
+    keys = np.multiply(cols, n, dtype=np.int64)
+    keys += np.arange(n, dtype=np.int64)
+    keys.sort()
+    keys %= n
     t_offsets = np.zeros(n_cols + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=n_cols), out=t_offsets[1:])
-    return t_offsets, rows[order], vals[order]
+    return t_offsets, rows[keys], vals[keys]
 
 
 class _TermIds(dict):

@@ -4,15 +4,18 @@ import json
 import sys
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clarikit import corpus as corpus_module
 from clarikit.corpus import (
     Corpus,
     Document,
     EmbeddingTable,
+    iter_jsonl,
     load_corpus,
     load_embeddings,
     load_instances,
@@ -131,6 +134,103 @@ class TestNormalize:
         assert len(corpus_module._PUNCT_MAP) <= 2**16 + 8
 
 
+DEEP = 200_000  # far beyond any recursion limit of the JSON parser
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_json_objects = st.dictionaries(st.text(max_size=3), _json_values, max_size=3)
+# Any line a file could hold: newlines would split it, lone surrogates have
+# no UTF-8 encoding.
+_raw_text = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"), max_size=6
+)
+jsonl_lines = st.one_of(
+    _json_objects.map(json.dumps),
+    _json_values.map(lambda v: json.dumps(v, ensure_ascii=False)),
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "\ufeff", "\x0c", "x"]),
+        _json_objects.map(json.dumps),
+        st.sampled_from(["", " ", "\t", "x", "}", "{}", " 1", ",", "\x0c", "\u00a0", "\u200b"]),
+    ).map("".join),
+    _raw_text,
+    st.sampled_from(
+        [
+            '{"a": NaN}',
+            '{"a": [Infinity, -Infinity]}',
+            "\ufeff",
+            '{"a": 1} {"b": 2}',
+            "[" * DEEP + "]" * DEEP,
+            '{"a": ' + "[" * DEEP + "]" * DEEP + "}",
+        ]
+    ),
+)
+
+
+def iter_jsonl_oracle(path, lines):
+    """Yield what ``json.loads`` makes of each stripped, non-blank line."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise DataError(f"{path}: line {lineno}: JSON nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: line {lineno}: expected a JSON object")
+        yield lineno, obj
+
+
+def _drain(records):
+    """(records, error message or None): everything yielded before a DataError."""
+    out = []
+    try:
+        for record in records:
+            out.append(record)
+    except DataError as exc:
+        return out, str(exc)
+    return out, None
+
+
+class TestIterJsonl:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(jsonl_lines, max_size=5))
+    @example(['{"a": 1}', "", "\ufeff{}"])
+    @example(['{"a": 1}', "{} x"])
+    @example(["{}{}"])
+    @example(["{", "x"])
+    def test_matches_json_loads_per_line(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        got, got_error = _drain(iter_jsonl(path))
+        want, want_error = _drain(iter_jsonl_oracle(path, lines))
+        # repr, so NaN compares equal to NaN and -0.0 differs from 0.0
+        assert repr(got) == repr(want)
+        assert got_error == want_error
+
+
+def corpus_oracle(path) -> Corpus:
+    """The per-field loader: each field through its helper, each document
+    through the document contract."""
+    docs, seen = [], set()
+    for lineno, obj in iter_jsonl(path):
+        doc = Document(
+            id=corpus_module._require_str(obj, "id", path, lineno),
+            text=corpus_module._require_str(obj, "text", path, lineno),
+        )
+        try:
+            corpus_module._check_document(doc, seen)
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        docs.append(doc)
+    return Corpus(docs=tuple(docs))
+
+
 class TestLoadCorpus:
     def write(self, tmp_path, lines):
         path = tmp_path / "corpus.jsonl"
@@ -183,6 +283,30 @@ class TestLoadCorpus:
         path = self.write(tmp_path, ['{"id": "a", "text": "   "}'])
         with pytest.raises(DataError, match="empty text"):
             load_corpus(path)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "id": st.one_of(st.sampled_from(["", "a", "b"]), st.none(), st.integers()),
+                    "text": st.one_of(st.sampled_from(["", " \t", "x y", "\u00a0"]), st.none()),
+                },
+            ),
+            max_size=4,
+        )
+    )
+    def test_matches_per_field_oracle(self, tmp_path_factory, rows):
+        path = self.write(tmp_path_factory.mktemp("corpus"), [json.dumps(r) for r in rows])
+        try:
+            want = corpus_oracle(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                load_corpus(path)
+            assert str(err.value) == str(exc)
+        else:
+            assert load_corpus(path) == want
 
 
 class TestLoadInstances:
@@ -320,7 +444,7 @@ class TestLoadEmbeddings:
 
     @settings(deadline=None, max_examples=300)
     @given(
-        st.lists(
+        vector=st.lists(
             st.one_of(
                 st.integers(-(2**70), 2**70),
                 st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63) - 1]),
@@ -331,24 +455,94 @@ class TestLoadEmbeddings:
                 st.lists(st.integers(0, 3), max_size=2),
             ),
             max_size=4,
-        )
+        ),
+        before=st.integers(0, 5),
+        after=st.integers(0, 5),
+        block=st.integers(1, 4),
+        data=st.data(),
     )
-    def test_vector_check_matches_per_item_oracle(self, tmp_path_factory, vector):
-        line = json.dumps({"id": "d1", "vector": vector})
-        path = self.write(tmp_path_factory.mktemp("emb"), [line])
-        if not all(isinstance(x, (int, float)) for x in vector):
+    def test_vector_check_matches_per_item_oracle(
+        self, tmp_path_factory, vector, before, after, block, data
+    ):
+        # One drawn vector among good rows of its width, checked in blocks of
+        # `block` rows: only its line can fail, and a file that loads holds
+        # the matrix from_dict makes of the same rows.
+        numeric = all(isinstance(x, (int, float)) for x in vector)
+        width = len(vector) if numeric and vector else 2
+        good = st.lists(
+            st.one_of(
+                st.integers(-(2**70), 2**70),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.booleans(),
+            ),
+            min_size=width,
+            max_size=width,
+        )
+        rows = data.draw(st.lists(good, min_size=before, max_size=before))
+        rows += [vector] + data.draw(st.lists(good, min_size=after, max_size=after))
+        raw = {f"d{i}": row for i, row in enumerate(rows)}
+        lines = [json.dumps({"id": key, "vector": row}) for key, row in raw.items()]
+        path = self.write(tmp_path_factory.mktemp("emb"), lines)
+        if not numeric:
             expected = "'vector' must be a list of numbers"
         else:
             try:
-                expected_vec = EmbeddingTable.from_dict({"d1": vector}).vector("d1")
+                expected_table = EmbeddingTable.from_dict(raw)
             except DataError as exc:
                 expected = str(exc)
             else:
-                assert load_embeddings(path).vector("d1").tobytes() == expected_vec.tobytes()
+                with mock.patch.object(corpus_module, "_EMBEDDING_BLOCK_ROWS", block):
+                    table = load_embeddings(path)
+                assert table.ids == expected_table.ids
+                assert table.matrix.dtype == np.float64
+                assert table.matrix.tobytes() == expected_table.matrix.tobytes()
                 return
-        with pytest.raises(DataError) as err:
-            load_embeddings(path)
-        assert str(err.value).endswith(expected)
+        with mock.patch.object(corpus_module, "_EMBEDDING_BLOCK_ROWS", block):
+            with pytest.raises(DataError) as err:
+                load_embeddings(path)
+        assert str(err.value) == f"{path}: line {before + 1}: {expected}"
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # A bad vector comes before a later duplicate id or missing field.
+            (['{"id":"d1","vector":[1,"x"]}', '{"id":"d0","vector":[0,1]}'], "line 2: 'vector'"),
+            (['{"id":"d1","vector":[1,"x"]}', '{"id":"d9"}'], "line 2: 'vector'"),
+            (['{"id":"d1","vector":[1,"x"]}', '{"vector":[0,1]}'], "line 2: 'vector'"),
+            (['{"id":"d1","vector":[1,"x"]}', '{"id":7,"vector":[0,1]}'], "line 2: 'vector'"),
+            (['{"id":"d1","vector":[1,2,3]}', '{"id":"d1","vector":[0,1]}'], "line 2: embedding"),
+            # and after an earlier one.
+            (['{"id":"d0","vector":[0,1]}', '{"id":"d1","vector":[1,"x"]}'], "line 2: duplicate"),
+            (['{"id":"d9"}', '{"id":"d1","vector":[1,"x"]}'], "line 2: missing field 'vector'"),
+            (['{"id":7,"vector":[0,1]}', '{"id":"d1","vector":[1,"x"]}'], "line 2: field 'id'"),
+            # A duplicate line's own bad vector is reported before its id.
+            (['{"id":"d2","vector":[1,1]}', '{"id":"d0","vector":[1]}'], "line 3: embedding"),
+        ],
+    )
+    def test_earliest_line_fault_is_reported(self, tmp_path, block, lines, message):
+        lines = ['{"id":"d0","vector":[1,0]}'] + lines + ['{"id":"d8","vector":[null]}']
+        with mock.patch.object(corpus_module, "_EMBEDDING_BLOCK_ROWS", block):
+            with pytest.raises(DataError) as err:
+                load_embeddings(self.write(tmp_path, lines))
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("bad_line", ["none", -1, 0, 1, 2])
+    def test_bad_row_either_side_of_a_block_boundary(self, tmp_path, bad_line):
+        n = corpus_module._EMBEDDING_BLOCK_ROWS
+        rows = [[i, 0.5 * i, i % 2 == 0] for i in range(2 * n + 1)] + [[2**70, -1, True]]
+        raw = {f"d{i}": row for i, row in enumerate(rows)}
+        lines = [json.dumps({"id": key, "vector": row}) for key, row in raw.items()]
+        if bad_line == "none":
+            table = load_embeddings(self.write(tmp_path, lines))
+            expected = EmbeddingTable.from_dict(raw)
+            assert table.ids == expected.ids
+            assert table.matrix.tobytes() == expected.matrix.tobytes()
+            return
+        lineno = n + bad_line  # 1-based: line n ends the first block
+        lines[lineno - 1] = json.dumps({"id": f"d{lineno - 1}", "vector": [1, 2]})
+        with pytest.raises(DataError, match=f"line {lineno}: embedding for 'd{lineno - 1}' has 2 "):
+            load_embeddings(self.write(tmp_path, lines))
 
     def test_unknown_key_errors(self, tmp_path):
         path = self.write(tmp_path, ['{"id":"d1","vector":[1,0]}'])

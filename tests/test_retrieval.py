@@ -112,6 +112,17 @@ def tfidf_cosine_oracle(texts: dict[str, str], a: str, b: str) -> float:
     return dot / (norm_a * norm_b)
 
 
+def transpose_oracle(
+    offsets: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR transpose by one stable argsort of the column ids."""
+    rows = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
+    order = np.argsort(cols, kind="stable")
+    t_offsets = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=t_offsets[1:])
+    return t_offsets, rows[order], vals[order]
+
+
 def index_oracle(corpus: Corpus) -> InvertedIndex:
     """The per-document build: one Counter per document, then a stable transpose."""
     term_ids: dict[str, int] = {}  # ids in first-seen order
@@ -125,7 +136,7 @@ def index_oracle(corpus: Corpus) -> InvertedIndex:
         row_sizes.append(len(counts))
     row_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(row_sizes, out=row_offsets[1:])
-    offsets, ordinals, tfs = _transpose(
+    offsets, ordinals, tfs = transpose_oracle(
         row_offsets,
         np.array(row_terms, dtype=np.int32),
         np.array(row_tfs, dtype=np.int32),
@@ -213,6 +224,34 @@ class TestInvertedIndex:
             assert not got.flags.writeable, name
         assert index.avg_doc_len == expected.avg_doc_len
         assert index.doc_ids == expected.doc_ids
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n_cols: st.tuples(
+                st.just(n_cols),
+                # Rows of (column, value) entries; a column may repeat in a row.
+                st.lists(
+                    st.lists(
+                        st.tuples(st.integers(0, max(n_cols - 1, 0)), st.integers(0, 3)),
+                        max_size=6 if n_cols else 0,
+                    ),
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    def test_transpose_matches_stable_argsort_oracle(self, csr):
+        n_cols, rows = csr
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=offsets[1:])
+        cols = np.array([c for row in rows for c, _ in row], dtype=np.int32)
+        vals = np.array([v for row in rows for _, v in row], dtype=np.int32)
+        got = _transpose(offsets, cols, vals, n_cols)
+        want = transpose_oracle(offsets, cols, vals, n_cols)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
 
     def test_shared_term_two_entries(self):
         index = build_inverted_index(corpus_of({"d1": "x y", "d2": "x z"}))
