@@ -74,7 +74,7 @@ def build_parser() -> _Parser:
     p.add_argument("--generated", required=True, help="JSONL: {id, facets}")
     p.add_argument("--truth", required=True, help="instances JSONL")
     p.add_argument("--embeddings", help="embedding table for set_sim")
-    p.add_argument("--out", required=True, help="output JSONL report path")
+    p.add_argument("--out", required=True, help="output JSONL; its CSV goes beside it, as .csv")
     p.set_defaults(func=cmd_evaluate)
 
     p = add("align-stats", "evidence/facet alignment statistics")
@@ -176,6 +176,9 @@ def cmd_pool(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    csv_path = Path(args.out).with_suffix(".csv")
+    if csv_path == Path(args.out):
+        raise _UsageError(f"--out {args.out} is where the CSV report goes; give it another suffix")
     truth = load_instances(args.truth)
     embedder = None
     if args.embeddings:
@@ -192,7 +195,7 @@ def cmd_evaluate(args) -> int:
     lines = [json.dumps({"instance_id": i, **r.to_flat_dict()}, sort_keys=True) for i, r in rows]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     csv_text = _metric_csv_text(("instance_id",), [((i,), r) for i, r in rows])
-    atomic_write_text(Path(args.out).with_suffix(".csv"), csv_text)
+    atomic_write_text(csv_path, csv_text)
 
     flat = mean.to_flat_dict()
     _emit(

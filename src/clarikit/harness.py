@@ -147,7 +147,6 @@ def alignment_stats(
     instances: Sequence[ClarificationInstance],
     pool_builder: PoolBuilder,
     corpus: Corpus | None = None,
-    k: int | None = None,
 ) -> AlignmentReport:
     """Per-instance and mean facet coverage of the built evidence pools.
 
@@ -170,10 +169,7 @@ def alignment_stats(
         pool = built[0][1]
         if config is None:
             config = pool.builder_config
-        texts = resolve_texts(pool, corpus, inst)
-        if k is not None:
-            texts = texts[:k]
-        evidence_tokens = normalize(" ".join(texts))
+        evidence_tokens = normalize(" ".join(resolve_texts(pool, corpus, inst)))
         if not evidence_tokens:
             per.append((inst.id, 0.0, 0.0))
             continue
@@ -232,14 +228,6 @@ class LooReport:
         }
 
 
-def _facet_recall(metric_kind: str, generated: Sequence[str], facet: str) -> float:
-    if metric_kind == "term_overlap":
-        return term_overlap(list(generated), [facet]).recall
-    if metric_kind == "exact_match":
-        return exact_match(list(generated), [facet]).recall
-    raise ValueError(f"unknown metric kind {metric_kind!r}")
-
-
 def loo_faithfulness(
     instances: Sequence[ClarificationInstance],
     generator: GeneratorFn,
@@ -265,7 +253,8 @@ def loo_faithfulness(
     """
     if base_pool_config.alignment != "facet_aligned":
         raise ValueError("leave-one-out requires a facet_aligned pool config")
-    if metric_kind not in ("term_overlap", "exact_match"):
+    metric = {"term_overlap": term_overlap, "exact_match": exact_match}.get(metric_kind)
+    if metric is None:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
     if not instances:
         raise DataError("no instances given")
@@ -278,7 +267,7 @@ def loo_faithfulness(
         pool = build_pool(base_pool_config, inst, index, table, query_embedder)
         texts = resolve_texts(pool, corpus, inst)
         clar = generator(GeneratorRequest(inst.query, tuple(texts), max_facets, emit_question))
-        recall = _facet_recall(metric_kind, clar.facets, facet)
+        recall = metric(clar.facets, [facet]).recall
 
         if sole_provenance_only:
             keep = [e.provenance != frozenset({label}) for e in pool.entries]
@@ -288,7 +277,7 @@ def loo_faithfulness(
         loo_clar = generator(
             GeneratorRequest(inst.query, tuple(loo_texts), max_facets, emit_question)
         )
-        return facet_idx, recall, _facet_recall(metric_kind, loo_clar.facets, facet)
+        return facet_idx, recall, metric(loo_clar.facets, [facet]).recall
 
     done, skips = _per_instance(step, instances)
     per = [(inst.id, *result) for inst, result in done]
@@ -712,13 +701,7 @@ class BootstrapResult:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean_diff": self.mean_diff,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "iterations": self.iterations,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def paired_bootstrap(
@@ -769,8 +752,13 @@ def paired_bootstrap(
     ids = sorted(a)
     diffs = np.array([b[i] - a[i] for i in ids], dtype=np.float64)
     rng = np.random.default_rng(seed)
-    samples = rng.integers(0, len(ids), size=(iterations, len(ids)))
-    means = diffs[samples].mean(axis=1)
+    try:
+        # One draw for all iterations: drawing in parts would change the samples.
+        means = diffs[rng.integers(0, len(ids), size=(iterations, len(ids)))].mean(axis=1)
+    except MemoryError as exc:
+        raise DataError(
+            f"{iterations} iterations x {len(ids)} instances do not fit in memory"
+        ) from exc
     lo, hi = np.percentile(means, [2.5, 97.5])
     return BootstrapResult(
         mean_diff=float(diffs.mean()),

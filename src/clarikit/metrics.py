@@ -96,8 +96,6 @@ class FacetAssignment:
     """
 
     pairs: tuple[tuple[int, int, float], ...]
-    unmatched_generated: tuple[int, ...]
-    unmatched_truth: tuple[int, ...]
 
 
 # Canonical column order for CSV/JSON report emission.
@@ -313,15 +311,6 @@ class _Comparison:
             {f.text for f in self.generated} - {""}, {g.text for g in self.truth} - {""}
         )
 
-    def assignment(self) -> FacetAssignment:
-        matched_g = {g for g, _ in self.pairs}
-        matched_t = {t for _, t in self.pairs}
-        return FacetAssignment(
-            pairs=tuple((g, t, self.bleu[g][t][0]) for g, t in self.pairs),
-            unmatched_generated=tuple(i for i in range(len(self.generated)) if i not in matched_g),
-            unmatched_truth=tuple(j for j in range(len(self.truth)) if j not in matched_t),
-        )
-
     def set_bleu(self) -> tuple[float, float, float, float]:
         denom = max(len(self.generated), len(self.truth))
         b1, b2, b3, b4 = (
@@ -394,7 +383,8 @@ def bleu_n(candidate: str, reference: str, n: int) -> float:
 
 def match_facet_pairs(generated: Sequence[str], truth: Sequence[str]) -> FacetAssignment:
     """Optimal BLEU-1 assignment between the two facet lists (see the module docstring)."""
-    return _Comparison(generated, truth).assignment()
+    comparison = _Comparison(generated, truth)
+    return FacetAssignment(tuple((g, t, comparison.bleu[g][t][0]) for g, t in comparison.pairs))
 
 
 def set_bleu(generated: Sequence[str], truth: Sequence[str]) -> tuple[float, float, float, float]:

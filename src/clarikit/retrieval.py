@@ -34,6 +34,7 @@ from .corpus import (
     normalize,
 )
 from .errors import DataError
+from .ioutils import atomic_write_text
 
 __all__ = [
     "InvertedIndex",
@@ -49,7 +50,6 @@ __all__ = [
     "mmr_rerank",
     "embedding_similarity",
     "tfidf_similarity",
-    "entry_text",
     "resolve_texts",
     "write_pools",
     "ORACLE_ID_PREFIX",
@@ -437,10 +437,6 @@ class EvidencePool:
                     "has empty provenance"
                 )
 
-    @property
-    def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
-
 
 QueryEmbedder = Callable[[str], "np.ndarray | Sequence[float]"]
 
@@ -460,20 +456,6 @@ def split_embeddings(
         raise DataError("embedding table contains no corpus document vectors")
     doc_table = EmbeddingTable(ids=tuple(table.ids[i] for i in rows), matrix=table.matrix[rows])
     return doc_table, table.vector
-
-
-def _sub_queries(
-    config: RetrievalConfig, instance: ClarificationInstance
-) -> list[tuple[str, str]]:
-    subs = [(QUERY_LABEL, instance.query)]
-    if config.alignment == "facet_aligned":
-        if not instance.facets:
-            raise DataError(f"instance {instance.id!r} has no facets for aligned retrieval")
-        subs.extend(
-            (facet_label(i), f"{instance.query} {facet}")
-            for i, facet in enumerate(instance.facets)
-        )
-    return subs
 
 
 def build_pool(
@@ -512,11 +494,13 @@ def build_pool(
 
     use_mmr = config.mmr_lambda is not None
     fetch_n = config.candidate_n if use_mmr else config.k
-    subs = _sub_queries(config, instance)
+    # Sub-query 0 is the query, labelled Q; sub-query i is the query and facet i, labelled Fi.
+    facets = instance.facets if config.alignment == "facet_aligned" else ()
+    if config.alignment == "facet_aligned" and not facets:
+        raise DataError(f"instance {instance.id!r} has no facets for aligned retrieval")
     if config.mode == "lexical":
         if index is None:
             raise ValueError("lexical retrieval requires an inverted index")
-        facets = instance.facets if config.alignment == "facet_aligned" else ()
         lists = _bm25_rankings(
             index, instance.query, facets, fetch_n, config.bm25_k1, config.bm25_b
         )
@@ -525,17 +509,15 @@ def build_pool(
             raise ValueError("dense retrieval requires an embedding table")
         # Without an embedder, sub-query vectors are looked up by the sub-query text itself.
         embed = query_embedder if query_embedder is not None else table.vector
-        lists = [dense_retrieve(table, embed(text), fetch_n) for _, text in subs]
-    rankings = [(label, ranking) for (label, _), ranking in zip(subs, lists)]
+        texts = [instance.query, *(f"{instance.query} {facet}" for facet in facets)]
+        lists = [dense_retrieve(table, embed(text), fetch_n) for text in texts]
 
     provenance: dict[str, set[str]] = {}
-    for label, ranking in rankings:
+    for label, ranking in zip([QUERY_LABEL, *map(facet_label, range(len(facets)))], lists):
         for doc in ranking:
             provenance.setdefault(doc.doc_id, set()).add(label)
 
-    merged = interleave_round_robin(
-        [ranking for _, ranking in rankings], fetch_n, key=lambda d: d.doc_id
-    )
+    merged = interleave_round_robin(lists, fetch_n, key=lambda d: d.doc_id)
 
     if use_mmr and merged:
         sim = (
@@ -669,57 +651,49 @@ def tfidf_similarity(index: InvertedIndex) -> Callable[[str, str], float]:
     return sim
 
 
-def entry_text(
-    entry: PoolEntry,
-    corpus: Corpus | None = None,
-    instance: ClarificationInstance | None = None,
-) -> str:
-    """Resolve one pool entry to its document text.
-
-    Synthetic oracle entries ("oracle:<i>") resolve to the instance's i-th
-    facet; everything else is looked up in the corpus.
-    """
-    if entry.doc_id.startswith(ORACLE_ID_PREFIX):
-        if instance is None:
-            raise DataError(f"cannot resolve {entry.doc_id!r} without the instance")
-        idx = int(entry.doc_id[len(ORACLE_ID_PREFIX):]) - 1
-        if not 0 <= idx < len(instance.facets):
-            raise DataError(f"{entry.doc_id!r} out of range for instance {instance.id!r}")
-        return instance.facets[idx]
-    if corpus is None:
-        raise DataError(f"cannot resolve {entry.doc_id!r} without a corpus")
-    return corpus.doc(entry.doc_id).text
-
-
 def resolve_texts(
     pool: EvidencePool,
     corpus: Corpus | None = None,
     instance: ClarificationInstance | None = None,
 ) -> list[str]:
-    """Texts of all pool entries, in pool order."""
-    return [entry_text(e, corpus, instance) for e in pool.entries]
+    """Texts of all pool entries, in pool order.
+
+    Synthetic oracle entries ("oracle:<i>") resolve to the instance's i-th
+    facet; everything else is looked up in the corpus.
+    """
+    texts = []
+    for entry in pool.entries:
+        doc_id = entry.doc_id
+        if doc_id.startswith(ORACLE_ID_PREFIX):
+            if instance is None:
+                raise DataError(f"cannot resolve {doc_id!r} without the instance")
+            idx = int(doc_id[len(ORACLE_ID_PREFIX):]) - 1
+            if not 0 <= idx < len(instance.facets):
+                raise DataError(f"{doc_id!r} out of range for instance {instance.id!r}")
+            texts.append(instance.facets[idx])
+        elif corpus is None:
+            raise DataError(f"cannot resolve {doc_id!r} without a corpus")
+        else:
+            texts.append(corpus.doc(doc_id).text)
+    return texts
 
 
 # --- serialization -------------------------------------------------------
 
 
-def pool_to_dict(pool: EvidencePool) -> dict:
-    return {
-        "instance_id": pool.instance_id,
-        "config": asdict(pool.builder_config),
-        "entries": [
-            {
-                "doc_id": e.doc_id,
-                "score": e.score,
-                "provenance": sorted(e.provenance),
-            }
-            for e in pool.entries
-        ],
-    }
-
-
 def write_pools(pools: Sequence[EvidencePool], path: str | Path) -> None:
-    from .ioutils import atomic_write_text
-
-    lines = [json.dumps(pool_to_dict(p), sort_keys=True) for p in pools]
+    lines = [
+        json.dumps(
+            {
+                "instance_id": p.instance_id,
+                "config": asdict(p.builder_config),
+                "entries": [
+                    {"doc_id": e.doc_id, "score": e.score, "provenance": sorted(e.provenance)}
+                    for e in p.entries
+                ],
+            },
+            sort_keys=True,
+        )
+        for p in pools
+    ]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

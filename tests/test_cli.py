@@ -811,3 +811,181 @@ class TestAtomicWrites:
         monkeypatch.setattr(os, "replace", real_replace)
         assert target.read_text() == "original"
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def _config(**changes):
+    """The fixture's config with top-level keys replaced, as a file's text."""
+    return lambda config: json.dumps({**config, **changes})
+
+
+def _generator(**changes):
+    """The fixture's config with generator keys replaced, as a file's text."""
+    return lambda config: json.dumps({**config, "generator": {**config["generator"], **changes}})
+
+
+_INSTANCE = json.dumps({"id": "a", "query": "q", "facets": ["f"]})
+_REPORT = json.dumps(
+    {
+        "per_instance": [
+            {"instance_id": "a", "exact_match_f1": 0.5},
+            {"instance_id": "b", "exact_match_f1": 1.0},
+        ]
+    }
+)
+_BOOTSTRAP = ["bootstrap", "--a", "{bad}", "--b", "{bad}", "--metric", "exact_match_f1"]
+_TAXONOMY = ["taxonomy", "--instances", "{bad}", "--out", "{out}"]
+
+# One case per error path that no other test reaches: what the file "bad"
+# holds (text, or a function of the fixture's config), the command line,
+# its exit code and its one line on stderr.  "empty" is an empty file.
+ERROR_PATHS = {
+    "instances-duplicate-id": (
+        f"{_INSTANCE}\n{_INSTANCE}\n",
+        _TAXONOMY,
+        2,
+        "data error: {bad}: line 2: duplicate instance id 'a' (first seen on line 1)",
+    ),
+    "instances-question-not-a-string": (
+        json.dumps({"id": "a", "query": "q", "facets": ["f"], "question": 5}),
+        _TAXONOMY,
+        2,
+        "data error: {bad}: line 1: 'question' must be a string or null",
+    ),
+    "config-invalid-json": (
+        "{not json",
+        ["experiment", "--config", "{bad}"],
+        2,
+        "data error: {bad}: invalid JSON (Expecting property name enclosed in double quotes)",
+    ),
+    "config-not-an-object": (
+        "[1]",
+        ["experiment", "--config", "{bad}"],
+        2,
+        "data error: {bad}: config must be a JSON object",
+    ),
+    "embeddings-without-rows": (
+        "",
+        ["evaluate", "--generated", "{instances}", "--truth", "{instances}",
+         "--embeddings", "{bad}", "--out", "{out}"],
+        2,
+        "data error: {bad}: no embeddings found",
+    ),
+    "bootstrap-not-a-report": (
+        "{}",
+        _BOOTSTRAP,
+        2,
+        "data error: {bad}: not an experiment report (missing 'per_instance')",
+    ),
+    "bootstrap-row-without-id": (
+        json.dumps({"per_instance": [{"exact_match_f1": 0.5}]}),
+        _BOOTSTRAP,
+        2,
+        "data error: A: row missing 'instance_id'",
+    ),
+    "bootstrap-zero-iterations": (
+        _REPORT,
+        _BOOTSTRAP + ["--iters", "0"],
+        2,
+        "data error: iterations must be >= 1, got 0",
+    ),
+    "bootstrap-empty-reports": (
+        json.dumps({"per_instance": []}),
+        _BOOTSTRAP,
+        2,
+        "data error: no instances to bootstrap over",
+    ),
+    # Beyond the address space, so the allocation is refused before any
+    # memory is touched.
+    "bootstrap-iterations-beyond-memory": (
+        _REPORT,
+        _BOOTSTRAP + ["--iters", str(10**15)],
+        2,
+        "data error: 1000000000000000 iterations x 2 instances do not fit in memory",
+    ),
+    "taxonomy-top-k-0": (
+        _INSTANCE,
+        _TAXONOMY + ["--top-k", "0"],
+        2,
+        "data error: top_k must be >= 1, got 0",
+    ),
+    "taxonomy-no-instances": ("", _TAXONOMY, 2, "data error: no instances given"),
+    "loo-no-instances": (
+        _config(instances="empty"),
+        ["loo", "--config", "{bad}", "--seed", "1", "--out", "{out}"],
+        2,
+        "data error: no instances given",
+    ),
+    "sweep-no-instances": (
+        _config(instances="empty"),
+        ["sweep", "--config", "{bad}", "--n", "1,2", "--out", "{out}"],
+        2,
+        "data error: no instances given",
+    ),
+    "config-unknown-generator-kind": (
+        _generator(kind="llm"),
+        ["experiment", "--config", "{bad}"],
+        2,
+        "data error: generator config must set kind to 'extractive' or 'remote'",
+    ),
+    "config-bad-set-sim": (
+        _config(set_sim="cosine"),
+        ["experiment", "--config", "{bad}"],
+        2,
+        "data error: config set_sim must be 'indicator' or 'table'",
+    ),
+    "config-table-set-sim-without-embeddings": (
+        _config(set_sim="table"),
+        ["experiment", "--config", "{bad}"],
+        2,
+        "data error: set_sim 'table' requires an embeddings file",
+    ),
+    "experiment-parallelism-0": (
+        "",
+        ["experiment", "--config", "{config}", "--parallelism", "0"],
+        1,
+        "usage error: --parallelism must be >= 1",
+    ),
+    "retrieve-k-0": (
+        "",
+        ["retrieve", "--corpus", "{corpus}", "--query", "topic0", "--k", "0"],
+        2,
+        "data error: k must be >= 1, got 0",
+    ),
+    # The CSV report would replace the JSONL one.  The missing truth file
+    # shows that the path is refused before any input is read.
+    "evaluate-out-is-the-csv-path": (
+        "",
+        ["evaluate", "--generated", "{instances}", "--truth", "{bad}.missing",
+         "--out", "{tmp}/report.csv"],
+        1,
+        "usage error: --out {tmp}/report.csv is where the CSV report goes; "
+        "give it another suffix",
+    ),
+}
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "content, argv, code, message", ERROR_PATHS.values(), ids=ERROR_PATHS.keys()
+    )
+    def test_one_error_line_and_nothing_written(
+        self, data, tmp_path, capsys, content, argv, code, message
+    ):
+        bad = tmp_path / "bad"
+        config = json.loads(data["config"].read_text())
+        bad.write_text(content(config) if callable(content) else content, encoding="utf-8")
+        (tmp_path / "empty").write_text("")
+        paths = {
+            "bad": bad,
+            "tmp": tmp_path,
+            "out": tmp_path / "result",
+            "config": data["config"],
+            "corpus": data["corpus"],
+            "instances": data["instances"],
+        }
+        before = sorted(tmp_path.rglob("*"))
+        assert main([a.format(**paths) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message.format(**paths) + "\n"
+        assert sorted(tmp_path.rglob("*")) == before

@@ -432,6 +432,10 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match="^'vector' must be a list of numbers$"):
             EmbeddingTable.from_dict({"d1": vector})
 
+    def test_from_dict_rejects_an_empty_table(self):
+        with pytest.raises(DataError, match="^embedding table is empty$"):
+            EmbeddingTable.from_dict({})
+
     def test_bools_and_wide_integers_accepted(self, tmp_path):
         # JSON booleans are ints to Python; integers beyond 64 bits have no
         # numpy integer type and take the per-item check.

@@ -259,6 +259,27 @@ class TestRemote:
         with pytest.raises(GeneratorError, match="not json at all"):
             remote_generate(_url(mock_endpoint), req)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"question": None, "facets": "cast"},
+            {"question": 5, "facets": ["cast"]},
+            {"question": None, "facets": ["cast", 5]},
+        ],
+        ids=["facets-not-a-list", "question-not-a-string", "facet-not-a-string"],
+    )
+    def test_malformed_body_shapes(self, mock_endpoint, body):
+        mock_endpoint.behavior = lambda req: (200, body, 0)
+        req = GeneratorRequest(query="q", evidence_texts=("doc",))
+        with pytest.raises(GeneratorError, match="^malformed generator response: "):
+            remote_generate(_url(mock_endpoint), req)
+
+    def test_url_without_host(self):
+        # Refused while the request is prepared, before any connection.
+        req = GeneratorRequest(query="q", evidence_texts=("doc",))
+        with pytest.raises(GeneratorError, match="^generator request failed: .*No host supplied"):
+            remote_generate("http://", req)
+
     def test_empty_facets(self, mock_endpoint):
         mock_endpoint.behavior = lambda req: (200, {"question": None, "facets": []}, 0)
         req = GeneratorRequest(query="q", evidence_texts=("doc",))
@@ -295,6 +316,10 @@ class TestFuseRoundRobin:
 
     def test_normalized_dedup(self):
         assert fuse_round_robin([["Cast "], ["cast"]], 5) == ["cast"]
+
+    def test_max_facets_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^max_facets must be >= 1, got 0$"):
+            fuse_round_robin([["a"]], max_facets=0)
 
     def test_all_empty_errors(self):
         with pytest.raises(ValueError):

@@ -85,17 +85,6 @@ class TestAlignmentStats:
         assert query_only.exact_match_recall == 0.0
         assert aligned.exact_match_recall >= query_only.exact_match_recall + 0.3
 
-    def test_truncation_k(self, planted):
-        # The first pool entry is always a query-retrieved distractor, so a
-        # one-document budget removes all facet evidence.
-        report = alignment_stats(
-            planted["instances"],
-            lambda i: build_pool(planted["aligned"], i, index=planted["index"]),
-            corpus=planted["corpus"],
-            k=1,
-        )
-        assert report.exact_match_recall == 0.0
-
     def test_skip_accounting(self, planted):
         calls = {"n": 0}
 

@@ -1,6 +1,7 @@
 """Imports: every name a clarikit module or test file imports is read
-somewhere in that file, offline runs never load the HTTP client, and only
-a run that hashes its config loads hashlib.
+somewhere in that file, every name a module lists in ``__all__`` exists,
+offline runs never load the HTTP client, and only a run that hashes its
+config loads hashlib.
 
 ``__init__.py`` re-exports its imports and ``from __future__`` imports are
 compiler directives, so neither counts.  A name read only inside a string
@@ -8,6 +9,7 @@ annotation counts as read.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -69,6 +71,20 @@ def test_no_unused_imports(module):
     read = read_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in read}
     assert not unused, f"{module}: imported but never read: {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_all_entry_resolves(module):
+    mod = importlib.import_module(f"clarikit.{module.removesuffix('.py')}")
+    listed = getattr(mod, "__all__", [])
+    assert len(set(listed)) == len(listed), f"{module}: __all__ repeats a name"
+    missing = [name for name in listed if not hasattr(mod, name)]
+    assert not missing, f"{module}: __all__ lists names the module lacks: {missing}"
+
+
+def test_public_modules_declare_all():
+    for module in ("cli", "corpus", "generator", "harness", "metrics", "retrieval"):
+        assert importlib.import_module(f"clarikit.{module}").__all__
 
 
 def test_string_annotations_count_as_reads():

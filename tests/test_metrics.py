@@ -13,6 +13,7 @@ from clarikit.errors import DataError
 from clarikit.metrics import (
     PRF,
     bleu_n,
+    cosine,
     evaluate_instance,
     exact_match,
     indicator_embedder,
@@ -297,8 +298,6 @@ class TestMatchFacetPairs:
     def test_single_positive_pair(self):
         a = match_facet_pairs(["cast"], ["cast", "quotes"])
         assert a.pairs == ((0, 0, 1.0),)
-        assert a.unmatched_generated == ()
-        assert a.unmatched_truth == (1,)
 
     def test_permutation_symmetry(self):
         a = match_facet_pairs(["x", "y"], ["y", "x"])
@@ -317,12 +316,10 @@ class TestMatchFacetPairs:
     def test_more_generated_than_truth(self):
         a = match_facet_pairs(["a", "b", "cast"], ["cast"])
         assert a.pairs == ((2, 0, 1.0),)
-        assert a.unmatched_generated == (0, 1)
 
     def test_all_zero_ties_take_diagonal(self):
         a = match_facet_pairs(["aa", "bb"], ["cc", "dd", "ee"])
         assert tuple((g, t) for g, t, _ in a.pairs) == ((0, 0), (1, 1))
-        assert a.unmatched_truth == (2,)
 
     def test_rounded_total_tie_takes_lexicographic_pairing(self):
         # (0,0),(1,1) sums 1/3 + 2/3 = 1 - 2**-54 exactly, which fsum rounds
@@ -419,6 +416,12 @@ class TestSetSim:
 
         with pytest.raises(DataError, match="cast"):
             set_sim(["cast"], ["cast"], broken)
+
+    def test_vectors_of_different_shapes_rejected(self):
+        with pytest.raises(DataError, match=r"^vector shapes differ: \(2,\) vs \(3,\)$"):
+            cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(DataError, match="vector shapes differ"):
+            set_sim(["a"], ["b"], lambda text: [1.0] * (2 if text == "a" else 3))
 
     def test_punctuation_only_facets_earn_no_credit(self):
         f, g = ["...", "alpha"], ["!!!", "beta"]

@@ -458,6 +458,11 @@ class TestDenseRetrieve:
         table = EmbeddingTable.from_dict({"a": [0.5, 0.1], "b": [0.4, 0.9]})
         assert dense_retrieve(table, [1, 1], k=2) == dense_retrieve(table, [1, 1], k=2)
 
+    def test_k_below_one_rejected(self):
+        table = EmbeddingTable.from_dict({"d1": [1, 0]})
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+            dense_retrieve(table, [1, 0], k=0)
+
     @pytest.mark.parametrize("query", [[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]])
     def test_non_finite_query_rejected(self, query):
         table = EmbeddingTable.from_dict({"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -688,6 +693,31 @@ class TestBuildPool:
         with pytest.raises(DataError, match="no corpus document vectors"):
             split_embeddings(table, corpus)
 
+    @pytest.mark.parametrize(
+        "corpus, facets, message",
+        [
+            (None, None, "cannot resolve 'oracle:3' without the instance"),
+            ("tiny", None, "cannot resolve 'oracle:3' without the instance"),
+            (None, ("a", "b"), "'oracle:3' out of range for instance 'i'"),
+            (None, ("a", "b", "c"), "cannot resolve 'd1' without a corpus"),
+            ("tiny", ("a", "b", "c"), None),
+        ],
+    )
+    def test_resolve_texts_errors_in_entry_order(self, tiny_corpus, corpus, facets, message):
+        entries = (
+            PoolEntry("oracle:3", 1.0, frozenset({"F3"})),
+            PoolEntry("d1", 1.0, frozenset({"Q"})),
+        )
+        pool = EvidencePool(instance_id="i", entries=entries, builder_config=RetrievalConfig())
+        corpus = tiny_corpus if corpus == "tiny" else None
+        inst = None if facets is None else ClarificationInstance(id="i", query="q", facets=facets)
+        if message is None:
+            assert resolve_texts(pool, corpus, inst) == ["c", "penny penny cast cast"]
+            return
+        with pytest.raises(DataError) as exc_info:
+            resolve_texts(pool, corpus, inst)
+        assert str(exc_info.value) == message
+
     def test_dense_pool_missing_key_errors(self):
         table = EmbeddingTable.from_dict({"d1": [1.0, 0.0]})
         inst = ClarificationInstance(id="i", query="leiden", facets=("weather",))
@@ -759,20 +789,25 @@ class TestSharedQueryPrefix:
         ]
         assert got == pool_oracle(config, inst, index)
 
+    NO_FACETS = "instance 'i' has no facets for aligned retrieval"
+    NO_INDEX = "lexical retrieval requires an inverted index"
+
     @pytest.mark.parametrize(
-        "facets, with_index, error, message",
+        "mode, facets, with_index, error, message",
         [
-            ((), False, DataError, "instance 'i' has no facets for aligned retrieval"),
-            (("cast",), False, ValueError, "lexical retrieval requires an inverted index"),
-            (("cast",), True, DataError, "empty query"),
+            ("lexical", (), False, DataError, NO_FACETS),
+            ("lexical", ("cast",), False, ValueError, NO_INDEX),
+            ("lexical", ("cast",), True, DataError, "empty query"),
+            ("dense", (), False, DataError, NO_FACETS),
+            ("dense", ("cast",), True, ValueError, "dense retrieval requires an embedding table"),
         ],
     )
-    def test_error_order(self, tiny_corpus, facets, with_index, error, message):
+    def test_error_order(self, tiny_corpus, mode, facets, with_index, error, message):
         # Skip reasons land in report.json, so which error wins is fixed.
         index = build_inverted_index(tiny_corpus) if with_index else None
         inst = ClarificationInstance(id="i", query="!!!", facets=facets)
         with pytest.raises(error) as exc_info:
-            build_pool(RetrievalConfig(alignment="facet_aligned"), inst, index=index)
+            build_pool(RetrievalConfig(mode=mode, alignment="facet_aligned"), inst, index=index)
         assert str(exc_info.value) == message
 
 
@@ -936,6 +971,10 @@ class TestSimilarities:
         assert sim("d1", "d1") == pytest.approx(1.0)
         assert sim("d1", "d3") == 0.0
         assert 0.0 < sim("d1", "d2") < 1.0
+
+    def test_tfidf_similarity_of_a_document_without_tokens(self):
+        sim = tfidf_similarity(build_inverted_index(corpus_of({"d1": "cast", "blank": "?!"})))
+        assert sim("d1", "blank") == sim("blank", "d1") == sim("blank", "blank") == 0.0
 
     @settings(deadline=None, max_examples=100)
     @given(texts=small_corpora)
