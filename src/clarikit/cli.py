@@ -158,7 +158,7 @@ def cmd_pool(args) -> int:
         # directory while the config's other inputs resolve against its own.
         config = read_json_object(Path(args.config), "config")
         instances = Path(args.instances).absolute()
-        if not instances.exists():
+        if not instances.is_file():
             raise DataError(f"--instances file not found: {instances}")
         config["instances"] = str(instances)
     res = load_resources(config, base_dir=Path(args.config).parent)
@@ -188,7 +188,9 @@ def cmd_evaluate(args) -> int:
     rows = []
     for inst in truth:
         if inst.id not in generated:
-            raise DataError(f"no generated facets for instance id {inst.id!r}")
+            raise DataError(
+                f"{args.truth}: instance id {inst.id!r} has no generated facets in {args.generated}"
+            )
         rows.append((inst.id, evaluate_instance(generated[inst.id], list(inst.facets), embedder)))
     mean = mean_report([report for _, report in rows])
     rows.append(("__mean__", mean))
@@ -290,8 +292,6 @@ def cmd_taxonomy(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.parallelism is not None and args.parallelism < 1:
-        raise _UsageError("--parallelism must be >= 1")
     res = load_resources(args.config)
     report = run_experiment(res, parallelism=args.parallelism)
     flat = report.mean.to_flat_dict()

@@ -10,6 +10,7 @@ across worker threads.
 from __future__ import annotations
 
 import json
+import sys
 import unicodedata
 from array import array
 from dataclasses import dataclass
@@ -139,6 +140,15 @@ class ClarificationInstance:
     question: str | None = None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # Every numeric setting's rule; exact also for an int too big for a float.
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 def _check_vector(key: str, value: object, dim: int | None) -> np.ndarray:
     """The embedding contract: a flat list or array of numbers (bools count)
     that is non-empty, finite and of the table's dimension.
@@ -228,38 +238,44 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     after the value fail as they do in ``json.loads``, with its messages.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if line[0] == "\ufeff":
-                    raise json.JSONDecodeError(
-                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
-                    )
-                obj, end = _DECODE(line)
-                if end != len(line):  # the line is stripped: no whitespace follows
-                    raise json.JSONDecodeError("Extra data", line, end)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            except RecursionError as exc:
-                raise DataError(f"{path}: line {lineno}: JSON nested too deeply") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}: line {lineno}: expected a JSON object")
-            yield lineno, obj
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    if line[0] == "\ufeff":
+                        raise json.JSONDecodeError(
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                        )
+                    obj, end = _DECODE(line)
+                    if end != len(line):  # the line is stripped: no whitespace follows
+                        raise json.JSONDecodeError("Extra data", line, end)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                except RecursionError as exc:
+                    raise DataError(f"{path}: line {lineno}: JSON nested too deeply") from exc
+                if not isinstance(obj, dict):
+                    raise DataError(f"{path}: line {lineno}: expected a JSON object")
+                yield lineno, obj
+    except UnicodeDecodeError as exc:
+        # Decoded in chunks, so the failing line is not known.
+        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
     """Parse a JSON file that holds one object (a config or report)."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"{what} file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc.msg})") from exc
     except RecursionError as exc:

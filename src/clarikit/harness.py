@@ -18,7 +18,7 @@ import json
 import math
 import os
 import random
-import sys
+import threading
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -30,6 +30,8 @@ from .corpus import (
     ClarificationInstance,
     Corpus,
     EmbeddingTable,
+    _is_finite_number,
+    _is_int,
     load_corpus,
     load_embeddings,
     load_instances,
@@ -460,15 +462,6 @@ class ExperimentReport:
 _CONFIG_REQUIRED = ("corpus", "instances", "retrieval", "generator", "seed", "output_dir")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    # Exact also for an int too big for a float; NaN fails it.
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
 def _config_hash(config: dict, paths: dict[str, Path]) -> str:
     """sha256 over the config as written and the sha256 of each input file."""
     import hashlib  # here, so commands that hash nothing never load OpenSSL
@@ -542,7 +535,7 @@ def load_resources(config: dict | str | Path, base_dir: Path | None = None) -> R
         if not isinstance(config[key], str):
             raise DataError(f"config {key} must be a string, got {config[key]!r}")
         paths[key] = base / config[key]
-        if not paths[key].exists():
+        if not paths[key].is_file():
             raise DataError(f"config {key} file not found: {paths[key]}")
     try:
         retrieval_cfg = RetrievalConfig(**config["retrieval"])
@@ -564,8 +557,12 @@ def load_resources(config: dict | str | Path, base_dir: Path | None = None) -> R
     if not isinstance(emit_question, bool):
         raise DataError(f"generator emit_question must be true or false, got {emit_question!r}")
     timeout = gen.get("timeout", 30.0)
-    if not (_is_finite_number(timeout) and timeout > 0):
-        raise DataError(f"generator timeout must be a finite number > 0, got {timeout!r}")
+    # The platform's longest wait: a longer one overflows in the HTTP client.
+    if not (_is_finite_number(timeout) and 0 < timeout <= threading.TIMEOUT_MAX):
+        raise DataError(
+            f"generator timeout must be a number > 0 and <= {threading.TIMEOUT_MAX}, "
+            f"got {timeout!r}"
+        )
     if retrieval_cfg.mode == "dense" and not has_embeddings:
         raise DataError("dense retrieval requires an embeddings file")
     if config.get("set_sim") not in (None, "indicator", "table"):

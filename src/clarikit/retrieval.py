@@ -31,6 +31,8 @@ from .corpus import (
     Corpus,
     EmbeddingTable,
     _check_vector,
+    _is_finite_number,
+    _is_int,
     normalize,
 )
 from .errors import DataError
@@ -217,9 +219,9 @@ def _idf(doc_count: int, df: int) -> float:
 
 def _check_bm25_params(k1: float, b: float) -> None:
     """BM25's free parameters: k1 finite and >= 0, b in [0, 1]; NaN fails both."""
-    if not (math.isfinite(k1) and k1 >= 0):
+    if not (_is_finite_number(k1) and k1 >= 0):
         raise ValueError(f"BM25 k1 must be finite and >= 0, got {k1}")
-    if not 0.0 <= b <= 1.0:
+    if not (_is_finite_number(b) and 0.0 <= b <= 1.0):
         raise ValueError(f"BM25 b must be in [0, 1], got {b}")
 
 
@@ -310,13 +312,12 @@ def dense_retrieve(
     """Top-k entries by inner product with the query vector.
 
     An exact scan over the table's matrix; ties break on ascending id.
+    The query vector passes the check every table row passes, with the
+    table's dimension: a wrong width, a ragged or non-numeric list and a
+    non-finite value each raise :class:`DataError`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if np.shape(query_vector) != (table.dim,):
-        raise DataError(
-            f"query vector has dimension {np.shape(query_vector)}, table dimension is {table.dim}"
-        )
     query = _check_vector("query vector", query_vector, table.dim)
     scores = table.matrix @ query
     return _top_k(np.arange(len(scores)), scores, table.ids, k)
@@ -398,12 +399,12 @@ class RetrievalConfig:
             raise ValueError(f"unknown alignment {self.alignment!r}")
         for name in ("k", "candidate_n"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.mmr_lambda is not None:
-            if not 0.0 <= self.mmr_lambda <= 1.0:
+            if not (_is_finite_number(self.mmr_lambda) and 0.0 <= self.mmr_lambda <= 1.0):
                 raise ValueError(f"mmr_lambda must be in [0, 1], got {self.mmr_lambda}")
             if self.k > self.candidate_n:
                 raise ValueError(
@@ -658,19 +659,26 @@ def resolve_texts(
 ) -> list[str]:
     """Texts of all pool entries, in pool order.
 
-    Synthetic oracle entries ("oracle:<i>") resolve to the instance's i-th
-    facet; everything else is looked up in the corpus.
+    In an oracle pool every entry is synthetic: "oracle:<i>" resolves to the
+    instance's i-th facet.  Every other pool looks all its ids up in the
+    corpus, so a corpus document whose id starts with "oracle:" is a
+    document like any other.
     """
+    oracle = pool.builder_config.alignment == "oracle"
     texts = []
     for entry in pool.entries:
         doc_id = entry.doc_id
-        if doc_id.startswith(ORACLE_ID_PREFIX):
+        if oracle:
             if instance is None:
                 raise DataError(f"cannot resolve {doc_id!r} without the instance")
-            idx = int(doc_id[len(ORACLE_ID_PREFIX):]) - 1
-            if not 0 <= idx < len(instance.facets):
+            position = doc_id[len(ORACLE_ID_PREFIX):]
+            if not (
+                doc_id.startswith(ORACLE_ID_PREFIX)
+                and position.isdecimal()
+                and 1 <= int(position) <= len(instance.facets)
+            ):
                 raise DataError(f"{doc_id!r} out of range for instance {instance.id!r}")
-            texts.append(instance.facets[idx])
+            texts.append(instance.facets[int(position) - 1])
         elif corpus is None:
             raise DataError(f"cannot resolve {doc_id!r} without a corpus")
         else:

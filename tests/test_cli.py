@@ -3,10 +3,14 @@
 import csv
 import json
 import os
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import make_planted
+from conftest import endpoint_url, make_planted
 from clarikit.cli import main
 from clarikit.corpus import load_corpus, normalize
 from clarikit.ioutils import atomic_write_text
@@ -208,6 +212,31 @@ class TestPool:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"data error: --instances file not found: {missing}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("bm25_k1", 10**400, f"BM25 k1 must be finite and >= 0, got {10**400}"),
+            ("bm25_k1", -(10**400), f"BM25 k1 must be finite and >= 0, got {-(10**400)}"),
+            ("bm25_k1", True, "BM25 k1 must be finite and >= 0, got True"),
+            ("bm25_b", "x", "BM25 b must be in [0, 1], got x"),
+            ("bm25_b", False, "BM25 b must be in [0, 1], got False"),
+            ("mmr_lambda", True, "mmr_lambda must be in [0, 1], got True"),
+            ("mmr_lambda", "0.5", "mmr_lambda must be in [0, 1], got 0.5"),
+            ("k", True, "k must be an integer, got True"),
+        ],
+    )
+    def test_retrieval_number_is_never_a_bool_or_beyond_float_range(
+        self, data, tmp_path, capsys, key, value, message
+    ):
+        config = json.loads(data["config"].read_text())
+        config["retrieval"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "pools.jsonl"
+        assert main(["pool", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: invalid retrieval config: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -433,6 +462,37 @@ class TestHarnessCommands:
         assert main(["align-stats", "--config", str(data["config"]), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["exact_match_recall"] == 1.0
+
+    def test_corpus_ids_named_like_oracle_entries_are_documents(self, tmp_path):
+        # Resolved as the instance's facet, "oracle:1" would put the label
+        # into the evidence (recall 1.0), and "oracle:x" would fail to parse.
+        corpus, instances = tmp_path / "corpus.jsonl", tmp_path / "instances.jsonl"
+        write_jsonl(
+            corpus,
+            [
+                {"id": "oracle:1", "text": "penny lane"},
+                {"id": "oracle:x", "text": "penny arcade"},
+                {"id": "d3", "text": "abbey road"},
+            ],
+        )
+        write_jsonl(instances, [{"id": "a", "query": "penny", "facets": ["secret label"]}])
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "corpus": "corpus.jsonl",
+                    "instances": "instances.jsonl",
+                    "retrieval": {"alignment": "query_only", "k": 2},
+                    "generator": {"kind": "extractive"},
+                    "seed": 1,
+                    "output_dir": str(tmp_path / "out"),
+                }
+            )
+        )
+        out = tmp_path / "align.json"
+        assert main(["align-stats", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["term_overlap_recall"], report["evaluated_count"]) == (0.0, 1)
 
     def test_loo(self, data, tmp_path):
         out = tmp_path / "loo.json"
@@ -939,11 +999,40 @@ ERROR_PATHS = {
         2,
         "data error: set_sim 'table' requires an embeddings file",
     ),
+    # Parsed, then refused by the library where it reads the value: exit 2.
     "experiment-parallelism-0": (
         "",
         ["experiment", "--config", "{config}", "--parallelism", "0"],
-        1,
-        "usage error: --parallelism must be >= 1",
+        2,
+        "data error: parallelism must be an integer >= 1, got 0",
+    ),
+    # Decoded in chunks, so no line number is claimed.
+    "instances-not-utf-8": (
+        _INSTANCE.encode() + b"\n" + b'{"id": "b\xff"}\n',
+        _TAXONOMY,
+        2,
+        "data error: {bad}: not valid UTF-8 (invalid start byte)",
+    ),
+    "config-not-utf-8": (
+        b'{"seed": "\xe9"}',
+        ["experiment", "--config", "{bad}"],
+        2,
+        "data error: {bad}: not valid UTF-8 (invalid continuation byte)",
+    ),
+    # Longer than the platform can wait: the HTTP client would overflow.
+    "config-timeout-beyond-platform": (
+        _generator(kind="remote", endpoint="http://127.0.0.1:9", timeout=1e10),
+        ["experiment", "--config", "{bad}"],
+        2,
+        "data error: generator timeout must be a number > 0 and <= "
+        f"{threading.TIMEOUT_MAX}, got 10000000000.0",
+    ),
+    # "" resolves to the config's directory, which is no file.
+    "config-corpus-names-a-directory": (
+        _config(corpus=""),
+        ["experiment", "--config", "{bad}"],
+        2,
+        "data error: config corpus file not found: {tmp}",
     ),
     "retrieve-k-0": (
         "",
@@ -973,7 +1062,8 @@ class TestErrorPaths:
     ):
         bad = tmp_path / "bad"
         config = json.loads(data["config"].read_text())
-        bad.write_text(content(config) if callable(content) else content, encoding="utf-8")
+        text = content(config) if callable(content) else content
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         (tmp_path / "empty").write_text("")
         paths = {
             "bad": bad,
@@ -989,3 +1079,194 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == message.format(**paths) + "\n"
         assert sorted(tmp_path.rglob("*")) == before
+
+
+# --- the fuzzed input boundary ---------------------------------------------
+#
+# Every run either succeeds or exits 2 with one "data error:" line, and a
+# run that exits 2 writes nothing.  Values are JSON text as written, so
+# NaN, Infinity, 1e999 and integers beyond float range reach the readers
+# literally; None leaves the key out.
+
+_VALUES = [
+    None, "null", "true", "false", str(10**400), str(-(10**400)), "1e308", "-1e308",
+    "1e999", "NaN", "Infinity", "-Infinity", "0", "-1", "0.5", "1", "3", "1e-300",
+    '""', '"x"', '"?!"', '"dense"', '"oracle"', '"table"', '"remote"',
+    "[]", "[1, [2]]", '["x"]', "{}", '{"a": 1}',
+]
+_CONFIG_KEYS = [
+    "corpus", "instances", "embeddings", "retrieval", "generator", "set_sim", "seed",
+    "output_dir",
+    *(f"retrieval.{key}" for key in (
+        "mode", "alignment", "k", "candidate_n", "mmr_lambda", "bm25_k1", "bm25_b", "bogus"
+    )),
+    *(f"generator.{key}" for key in (
+        "kind", "endpoint", "max_facets", "emit_question", "timeout"
+    )),
+]
+_CONFIG_COMMANDS = [
+    ["experiment", "--config", "{config}"],
+    ["pool", "--config", "{config}", "--out", "{out}"],
+    ["align-stats", "--config", "{config}", "--out", "{out}"],
+    ["loo", "--config", "{config}", "--seed", "1", "--out", "{out}"],
+    ["sweep", "--config", "{config}", "--n", "1,2", "--out", "{out}"],
+]
+_EVALUATE = ["evaluate", "--generated", "{generated}", "--truth", "{truth}", "--out", "{out}"]
+_SLOT = "\x00slot"
+
+# Per file kind: a line template, extra values for its fields, and the
+# commands that read it.
+_FILE_KINDS = {
+    "corpus": (
+        {"id": "junk", "text": "topic0 junk"},
+        ['"d0f0"', '"!!!"', '"  "'],
+        _CONFIG_COMMANDS,
+    ),
+    "instances": (
+        {"id": "junk", "query": "topic0", "facets": ["fct0x0a"], "question": None},
+        ['"inst0"', '["", "x"]', '["?!"]', '["x", 1]', '"topic0"'],
+        _CONFIG_COMMANDS + [["taxonomy", "--instances", "{instances}", "--out", "{out}"]],
+    ),
+    "embeddings": (
+        {"id": "junk", "vector": [1.0, 0.0, 0.0, 0.0]},
+        ['"d0f0"', "[[1], [1, 2]]", "[1e999, 0, 0, 0]", "[1, 0]", '["1", "0", "0", "0"]',
+         "[true, false, 1, 0]", f"[{10**400}, 0, 0, 0]"],
+        _CONFIG_COMMANDS + [_EVALUATE + ["--embeddings", "{embeddings}"]],
+    ),
+    "generated": (
+        {"id": "junk", "facets": ["fct0x0a"]},
+        ['"inst0"', '["", "?!"]', '["x", 1]'],
+        [_EVALUATE, _EVALUATE + ["--embeddings", "{embeddings}"]],
+    ),
+    "truth": (
+        {"id": "junk", "query": "topic0", "facets": ["fct0x0a"]},
+        ['"inst0"', '["", "x"]', '["?!"]', '["x", 1]'],
+        [_EVALUATE, _EVALUATE + ["--embeddings", "{embeddings}"]],
+    ),
+}
+_RAW_JUNK = [
+    b"\xff\xfe", b'{"id": "\xff"}', b"\xef\xbb\xbf{}", b'{"id": "a",', b"[1]", b"null",
+    b'"x"', b"{", b"NaN", b"{}", b"[" * DEEP + b"]" * DEEP,
+]
+
+
+def _set_raw(obj: dict, key: str, raw: str | None) -> str:
+    """``obj`` as JSON text with ``key`` ("a" or "a.b") set to the JSON text
+    ``raw``, or left out for None."""
+    obj = json.loads(json.dumps(obj))
+    *parents, leaf = key.split(".")
+    target = obj
+    for parent in parents:
+        target = target[parent]
+    if raw is None:
+        target.pop(leaf, None)
+        return json.dumps(obj)
+    target[leaf] = _SLOT
+    return json.dumps(obj).replace(json.dumps(_SLOT), raw)
+
+
+def _fuzz_inputs(root, mode: str, kind: str, endpoint: str) -> dict:
+    """Two planted instances, their corpus, embeddings for dense retrieval and
+    Set-Sim, generated facets and a config, written under ``root``."""
+    corpus, instances = make_planted(2, distractors_per_instance=2)
+    texts = [d.id for d in corpus.docs] + [
+        text for i in instances for text in (i.query, *(f"{i.query} {f}" for f in i.facets))
+    ] + [f for i in instances for f in i.facets]
+    files = {
+        "corpus": [{"id": d.id, "text": d.text} for d in corpus.docs],
+        "instances": [{"id": i.id, "query": i.query, "facets": list(i.facets)} for i in instances],
+        "embeddings": [
+            {"id": t, "vector": [1.0, float(n % 3), float(len(t) % 5), 0.5]}
+            for n, t in enumerate(dict.fromkeys(texts))
+        ],
+        "generated": [{"id": i.id, "facets": list(i.facets)} for i in instances],
+    }
+    files["truth"] = files["instances"]
+    paths = {}
+    for name, rows in files.items():
+        paths[name] = root / f"{name}.jsonl"
+        write_jsonl(paths[name], rows)
+    paths["config_obj"] = {
+        "corpus": "corpus.jsonl",
+        "instances": "instances.jsonl",
+        "embeddings": "embeddings.jsonl" if mode == "dense" else None,
+        "retrieval": {"mode": mode, "alignment": "facet_aligned", "k": 3},
+        "generator": {"kind": kind, "endpoint": endpoint, "max_facets": 3},
+        "seed": 1,
+        "output_dir": "out",
+    }
+    paths["config"] = root / "config.json"
+    paths["config"].write_text(json.dumps(paths["config_obj"]))
+    paths["out"] = root / "result.out"
+    return paths
+
+
+def _run_fuzzed(capsys, root, argv, paths, junk_path=None) -> None:
+    before = sorted(root.rglob("*"))
+    code = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code in (0, 2), (code, captured.err)
+    if code == 2:
+        (line,) = captured.err.splitlines()
+        assert line.startswith("data error: ")
+        if junk_path is not None:
+            assert str(junk_path) in line, line
+        assert captured.out == ""
+        assert sorted(root.rglob("*")) == before
+
+
+def _fuzz_settings(max_examples: int) -> settings:
+    return settings(
+        deadline=None,
+        max_examples=max_examples,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+
+class TestFuzzedInputs:
+    """No malformed input crashes a command or gets an exit code other than 2."""
+
+    @_fuzz_settings(150)
+    @given(
+        mode=st.sampled_from(["lexical", "dense"]),
+        kind=st.sampled_from(["extractive", "remote"]),
+        key=st.sampled_from(_CONFIG_KEYS),
+        raw=st.sampled_from(_VALUES),
+    )
+    def test_one_config_value(
+        self, tmp_path, capsys, monkeypatch, mock_endpoint, mode, kind, key, raw
+    ):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+            root = Path(root)
+            monkeypatch.chdir(root)  # an output_dir of "" is the working directory
+            paths = _fuzz_inputs(root, mode, kind, endpoint_url(mock_endpoint))
+            paths["config"].write_text(_set_raw(paths["config_obj"], key, raw))
+            for argv in _CONFIG_COMMANDS:
+                _run_fuzzed(capsys, root, argv, paths)
+
+    @_fuzz_settings(300)
+    @given(data=st.data(), file_kind=st.sampled_from(sorted(_FILE_KINDS)))
+    def test_one_junk_line(self, tmp_path, capsys, monkeypatch, data, file_kind):
+        template, extras, commands = _FILE_KINDS[file_kind]
+        junk = data.draw(
+            st.sampled_from(_RAW_JUNK)
+            | st.builds(
+                lambda field, raw: _set_raw(template, field, raw).encode(),
+                st.sampled_from(sorted(template)),
+                st.sampled_from(_VALUES + extras),
+            ),
+            label="junk",
+        )
+        first = data.draw(st.booleans(), label="first")
+        argv = data.draw(st.sampled_from(commands), label="argv")
+        mode = "dense" if file_kind == "embeddings" and argv in _CONFIG_COMMANDS else "lexical"
+        with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+            root = Path(root)
+            monkeypatch.chdir(root)
+            paths = _fuzz_inputs(root, mode, "extractive", None)
+            path = paths[file_kind]
+            lines = path.read_bytes().splitlines()
+            lines = [junk, *lines] if first else [*lines, junk]
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            _run_fuzzed(capsys, root, argv, paths, junk_path=path)

@@ -20,6 +20,7 @@ from clarikit.corpus import (
     load_embeddings,
     load_instances,
     normalize,
+    read_json_object,
     stopwords,
 )
 from clarikit.errors import DataError
@@ -212,6 +213,32 @@ class TestIterJsonl:
         # repr, so NaN compares equal to NaN and -0.0 differs from 0.0
         assert repr(got) == repr(want)
         assert got_error == want_error
+
+    @pytest.mark.parametrize("where", ["first line", "last line"])
+    @pytest.mark.parametrize(
+        "read", [iter_jsonl, lambda p: read_json_object(p, "config")], ids=["jsonl", "object"]
+    )
+    def test_bytes_that_are_not_utf_8_are_a_data_error(self, tmp_path, where, read):
+        # The text is decoded in chunks, so no line number can be claimed.
+        good, bad = b'{"a": 1}', b'{"a": "\xff"}'
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n".join([bad, good] if where == "first line" else [good, bad]))
+        with pytest.raises(DataError) as exc_info:
+            list(read(path))
+        assert str(exc_info.value) == f"{path}: not valid UTF-8 (invalid start byte)"
+
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (iter_jsonl, "file not found"),
+            (lambda p: read_json_object(p, "config"), "config file not found"),
+        ],
+        ids=["jsonl", "object"],
+    )
+    def test_a_directory_is_not_a_file(self, tmp_path, read, message):
+        with pytest.raises(DataError) as exc_info:
+            list(read(tmp_path))
+        assert str(exc_info.value) == f"{message}: {tmp_path}"
 
 
 def corpus_oracle(path) -> Corpus:

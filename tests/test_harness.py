@@ -99,6 +99,25 @@ class TestAlignmentStats:
         assert report.skip_reasons == (("inst3", "synthetic failure"),)
         assert report.evaluated_count == len(planted["instances"]) - 1
 
+    def test_ragged_query_vector_is_a_skip(self):
+        # A ragged query vector breaks the embedding contract, a DataError,
+        # so its instance is skipped rather than ending the run.
+        from clarikit.corpus import EmbeddingTable
+
+        table = EmbeddingTable.from_dict({"d1": [1.0, 0.0]})
+        vectors = {"ragged": [[1], [1, 2]], "fine": [1.0, 0.0]}
+        cfg = RetrievalConfig(mode="dense", alignment="query_only", k=1)
+        instances = [
+            ClarificationInstance(id=q, query=q, facets=("f",)) for q in ("ragged", "fine")
+        ]
+        report = alignment_stats(
+            instances,
+            lambda i: build_pool(cfg, i, table=table, query_embedder=vectors.__getitem__),
+            corpus=Corpus.from_docs([Document("d1", "f")]),
+        )
+        assert report.skip_reasons == (("ragged", "'vector' must be a list of numbers"),)
+        assert report.evaluated_count == 1
+
     @pytest.mark.parametrize("fault", ["unknown document", "empty truth"])
     def test_only_pool_builder_errors_are_skips(self, planted, fault):
         inst = planted["instances"][0]

@@ -437,7 +437,9 @@ class TestDenseRetrieve:
 
     def test_dim_mismatch_errors(self):
         table = EmbeddingTable.from_dict({"d1": [1, 0]})
-        with pytest.raises(DataError, match="dimension"):
+        with pytest.raises(
+            DataError, match=r"^embedding for 'query vector' has 3 components, expected 2$"
+        ):
             dense_retrieve(table, [1, 0, 0], k=1)
 
     def test_query_beyond_float_range_is_data_error(self):
@@ -445,14 +447,16 @@ class TestDenseRetrieve:
         with pytest.raises(DataError, match="beyond float range"):
             dense_retrieve(table, [10**400, 0], k=1)
 
-    def test_non_number_query_rejected(self):
+    @pytest.mark.parametrize(
+        "query", [["1", "0"], ["1", "0", "0"], [[1], [1, 2]], [[1, 0], [0, 1]], [None, 0]]
+    )
+    def test_non_number_query_rejected(self, query):
         # The query passes the same check as a loaded row, so strings are
-        # not parsed as numbers; the dimension pre-check still comes first.
+        # not parsed as numbers, and a ragged list is a DataError, not
+        # numpy's ValueError.
         table = EmbeddingTable.from_dict({"d1": [1, 0]})
         with pytest.raises(DataError, match="^'vector' must be a list of numbers$"):
-            dense_retrieve(table, ["1", "0"], k=1)
-        with pytest.raises(DataError, match="dimension"):
-            dense_retrieve(table, ["1", "0", "0"], k=1)
+            dense_retrieve(table, query, k=1)
 
     def test_deterministic(self):
         table = EmbeddingTable.from_dict({"a": [0.5, 0.1], "b": [0.4, 0.9]})
@@ -694,29 +698,69 @@ class TestBuildPool:
             split_embeddings(table, corpus)
 
     @pytest.mark.parametrize(
-        "corpus, facets, message",
+        "facets, message",
         [
-            (None, None, "cannot resolve 'oracle:3' without the instance"),
-            ("tiny", None, "cannot resolve 'oracle:3' without the instance"),
-            (None, ("a", "b"), "'oracle:3' out of range for instance 'i'"),
-            (None, ("a", "b", "c"), "cannot resolve 'd1' without a corpus"),
-            ("tiny", ("a", "b", "c"), None),
+            (None, "cannot resolve 'oracle:2' without the instance"),
+            (("a",), "'oracle:2' out of range for instance 'i'"),
+            (("a", "b"), None),
         ],
     )
-    def test_resolve_texts_errors_in_entry_order(self, tiny_corpus, corpus, facets, message):
+    def test_resolve_texts_oracle_pool_errors_in_entry_order(self, tiny_corpus, facets, message):
+        # An oracle pool never reads the corpus, even where one is given.
         entries = (
-            PoolEntry("oracle:3", 1.0, frozenset({"F3"})),
-            PoolEntry("d1", 1.0, frozenset({"Q"})),
+            PoolEntry("oracle:2", 1.0, frozenset({"F2"})),
+            PoolEntry("oracle:1", 1.0, frozenset({"F1"})),
         )
-        pool = EvidencePool(instance_id="i", entries=entries, builder_config=RetrievalConfig())
-        corpus = tiny_corpus if corpus == "tiny" else None
+        cfg = RetrievalConfig(alignment="oracle")
+        pool = EvidencePool(instance_id="i", entries=entries, builder_config=cfg)
         inst = None if facets is None else ClarificationInstance(id="i", query="q", facets=facets)
         if message is None:
-            assert resolve_texts(pool, corpus, inst) == ["c", "penny penny cast cast"]
+            assert resolve_texts(pool, tiny_corpus, inst) == ["b", "a"]
             return
+        with pytest.raises(DataError) as exc_info:
+            resolve_texts(pool, tiny_corpus, inst)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("doc_id", ["oracle", "oracle:", "oracle:x", "oracle:0", "d1"])
+    def test_resolve_texts_oracle_pool_rejects_other_ids(self, doc_id):
+        entries = (PoolEntry(doc_id, 1.0, frozenset({"F1"})),)
+        pool = EvidencePool(
+            instance_id="i", entries=entries, builder_config=RetrievalConfig(alignment="oracle")
+        )
+        inst = ClarificationInstance(id="i", query="q", facets=("a",))
+        with pytest.raises(DataError, match=f"^'{doc_id}' out of range for instance 'i'$"):
+            resolve_texts(pool, instance=inst)
+
+    @pytest.mark.parametrize(
+        "corpus, message",
+        [
+            (None, "cannot resolve 'd1' without a corpus"),
+            ("tiny", "unknown document id 'oracle:1'"),
+        ],
+    )
+    def test_resolve_texts_corpus_pool_errors(self, tiny_corpus, corpus, message):
+        # Outside an oracle pool an "oracle:" id is a corpus id like any other.
+        entries = (
+            PoolEntry("d1", 1.0, frozenset({"Q"})),
+            PoolEntry("oracle:1", 1.0, frozenset({"Q"})),
+        )
+        pool = EvidencePool(instance_id="i", entries=entries, builder_config=RetrievalConfig())
+        inst = ClarificationInstance(id="i", query="q", facets=("a",))
+        corpus = tiny_corpus if corpus == "tiny" else None
         with pytest.raises(DataError) as exc_info:
             resolve_texts(pool, corpus, inst)
         assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("doc_id", ["oracle:1", "oracle:x"])
+    def test_corpus_doc_with_oracle_id_is_not_a_facet(self, doc_id):
+        # A query-only pool that retrieves a document named like an oracle
+        # entry gets the document's text, never the instance's facet.
+        corpus = corpus_of({doc_id: "penny lane", "d2": "abbey road"})
+        inst = ClarificationInstance(id="i", query="penny", facets=("secret facet",))
+        cfg = RetrievalConfig(alignment="query_only", k=2)
+        pool = build_pool(cfg, inst, index=build_inverted_index(corpus))
+        assert [e.doc_id for e in pool.entries] == [doc_id]
+        assert resolve_texts(pool, corpus, inst) == ["penny lane"]
 
     def test_dense_pool_missing_key_errors(self):
         table = EmbeddingTable.from_dict({"d1": [1.0, 0.0]})
