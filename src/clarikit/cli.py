@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 generator or I/O
-error.  All output files are written atomically (temp file + rename), so a
-killed run never leaves a truncated report behind.  Every subcommand
+error; a run that skips every instance exits with the first skip's code.
+All output files are written atomically (temp file + rename), so a killed
+run never leaves a truncated report behind.  Every subcommand
 accepts --json to emit a single machine-readable JSON document instead of
 the one-line summary.
 """
@@ -26,7 +27,6 @@ from .harness import (
     loo_faithfulness,
     paired_bootstrap,
     run_experiment,
-    sweep_csv_text,
     taxonomy_analysis,
 )
 from .ioutils import atomic_write_json, atomic_write_text
@@ -180,6 +180,8 @@ def cmd_evaluate(args) -> int:
     if csv_path == Path(args.out):
         raise _UsageError(f"--out {args.out} is where the CSV report goes; give it another suffix")
     truth = load_instances(args.truth)
+    if not truth:
+        raise DataError(f"{args.truth}: no instances given")
     embedder = None
     if args.embeddings:
         embedder = table_embedder(load_embeddings(args.embeddings))
@@ -195,9 +197,8 @@ def cmd_evaluate(args) -> int:
     mean = mean_report([report for _, report in rows])
     rows.append(("__mean__", mean))
     lines = [json.dumps({"instance_id": i, **r.to_flat_dict()}, sort_keys=True) for i, r in rows]
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
     csv_text = _metric_csv_text(("instance_id",), [((i,), r) for i, r in rows])
-    atomic_write_text(csv_path, csv_text)
+    atomic_write_text(args.out, "\n".join(lines) + "\n", (csv_path, csv_text))
 
     flat = mean.to_flat_dict()
     _emit(
@@ -269,7 +270,11 @@ def cmd_sweep(args) -> int:
         emit_question=res.emit_question,
         query_embedder=res.query_embedder,
     )
-    atomic_write_text(args.out, sweep_csv_text(report))
+    csv_text = _metric_csv_text(
+        ("n_evidence", "evaluated_count", "skipped_count"),
+        [((p.n_evidence, p.evaluated_count, p.skipped_count), p.report) for p in report.points],
+    )
+    atomic_write_text(args.out, csv_text)
     _emit(
         args,
         f"swept n={n_values} over {len(res.instances)} instances -> {args.out}",

@@ -7,7 +7,9 @@ comparing two runs.
 
 Every report carries (evaluated_count, skipped_count, skip_reasons) so its
 means stay interpretable when individual instances fail, and all runners
-are deterministic given their inputs and seed.
+are deterministic given their inputs and seed.  A run given no instances,
+or one in which every instance was skipped, raises instead of reporting
+means over nothing (see :func:`_per_instance`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .corpus import (
 )
 from .errors import ClarikitError, DataError
 from .generator import Clarification, GeneratorRequest, extractive_generate, remote_generate
-from .ioutils import atomic_write_json, atomic_write_text
+from .ioutils import atomic_write_text
 from .metrics import (
     METRIC_COLUMNS,
     Embedder,
@@ -86,27 +88,37 @@ PoolBuilder = Callable[[ClarificationInstance], EvidencePool]
 
 
 def _per_instance(
-    step: Callable, instances: Iterable[ClarificationInstance], *args: Iterable, map_fn=map
+    step: Callable, instances: Iterable[ClarificationInstance], map_fn=map
 ) -> tuple[list[tuple[ClarificationInstance, object]], list[tuple[str, str]]]:
-    """Run ``step(instance, *items)`` on each instance through ``map_fn``,
-    which zips ``args`` alongside ``instances`` as :func:`map` does.
+    """Run ``step`` on each instance through ``map_fn``.
 
     Returns the (instance, result) pairs in input order and the ``(id, reason)``
     of each instance whose step raised a :class:`ClarikitError`; others propagate.
+    This is the one place that tells a skipped instance from a failed run:
+    no instances raise ``DataError("no instances given")``, and when every
+    instance was skipped the first skip's exception type is raised with
+    ``all <N> instances skipped; first <id>: <reason>``.
     """
-    def guarded(inst: ClarificationInstance, *items):
+    def guarded(inst: ClarificationInstance):
         try:
-            return inst, step(inst, *items), None
+            return inst, step(inst), None
         except ClarikitError as exc:
-            return inst, None, str(exc)
+            # The type and message only: the exception holds the step's frames.
+            return inst, None, (type(exc), str(exc))
 
-    results = list(map_fn(guarded, instances, *args))
-    done = [(inst, result) for inst, result, reason in results if reason is None]
-    return done, [(inst.id, reason) for inst, _, reason in results if reason is not None]
+    results = list(map_fn(guarded, instances))
+    if not results:
+        raise DataError("no instances given")
+    done = [(inst, result) for inst, result, skip in results if skip is None]
+    skips = [(inst.id, skip) for inst, _, skip in results if skip is not None]
+    if not done:
+        first_id, (kind, reason) = skips[0]
+        raise kind(f"all {len(skips)} instances skipped; first {first_id}: {reason}")
+    return done, [(iid, reason) for iid, (_, reason) in skips]
 
 
 def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values) if values else 0.0
+    return math.fsum(values) / len(values)
 
 
 def _contains_subsequence(haystack: list[str], needle: list[str]) -> bool:
@@ -125,7 +137,7 @@ class AlignmentReport:
     term_overlap_recall: float
     exact_match_recall: float
     per_instance: tuple[tuple[str, float, float], ...]
-    config: RetrievalConfig | None
+    config: RetrievalConfig
     evaluated_count: int
     skipped_count: int
     skip_reasons: tuple[tuple[str, str], ...]
@@ -138,7 +150,7 @@ class AlignmentReport:
                 {"instance_id": i, "term_overlap_recall": t, "exact_match_recall": e}
                 for i, t, e in self.per_instance
             ],
-            "config": None if self.config is None else asdict(self.config),
+            "config": asdict(self.config),
             "evaluated_count": self.evaluated_count,
             "skipped_count": self.skipped_count,
             "skip_reasons": [list(r) for r in self.skip_reasons],
@@ -155,38 +167,31 @@ def alignment_stats(
     term_overlap_recall is the recall of the concatenated evidence text
     against the facet token set; exact_match_recall is the fraction of
     facets appearing verbatim (as a contiguous normalized token run)
-    anywhere in the concatenated evidence.
+    anywhere in the concatenated evidence.  An instance whose pool, texts
+    or scores raise a clarikit error is skipped; the report's ``config`` is
+    the first evaluated pool's builder config.
     """
-    if not instances:
-        raise DataError("no instances given")
-    per: list[tuple[str, float, float]] = []
-    skips: list[tuple[str, str]] = []
-    config: RetrievalConfig | None = None
-    for inst in instances:
-        # One at a time: an error that propagates stops before later pools.
-        built, skipped = _per_instance(pool_builder, [inst])
-        skips += skipped
-        if not built:
-            continue
-        pool = built[0][1]
-        if config is None:
-            config = pool.builder_config
+
+    def step(inst: ClarificationInstance) -> tuple[RetrievalConfig, float, float]:
+        pool = pool_builder(inst)
         evidence_tokens = normalize(" ".join(resolve_texts(pool, corpus, inst)))
         if not evidence_tokens:
-            per.append((inst.id, 0.0, 0.0))
-            continue
+            return pool.builder_config, 0.0, 0.0
         facet_tokens = [normalize(facet) for facet in inst.facets]
         truth = {token for tokens in facet_tokens for token in tokens}
         if not truth:
             raise DataError("truth facets normalize to an empty token set")
         to_recall = len(truth.intersection(evidence_tokens)) / len(truth)
         hits = sum(1 for tokens in facet_tokens if _contains_subsequence(evidence_tokens, tokens))
-        per.append((inst.id, to_recall, hits / len(inst.facets)))
+        return pool.builder_config, to_recall, hits / len(inst.facets)
+
+    done, skips = _per_instance(step, instances)
+    per = [(inst.id, to_recall, em_recall) for inst, (_, to_recall, em_recall) in done]
     return AlignmentReport(
         term_overlap_recall=_mean([t for _, t, _ in per]),
         exact_match_recall=_mean([e for _, _, e in per]),
         per_instance=tuple(per),
-        config=config,
+        config=done[0][1][0],
         evaluated_count=len(per),
         skipped_count=len(skips),
         skip_reasons=tuple(skips),
@@ -258,8 +263,6 @@ def loo_faithfulness(
     metric = {"term_overlap": term_overlap, "exact_match": exact_match}.get(metric_kind)
     if metric is None:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
-    if not instances:
-        raise DataError("no instances given")
 
     def step(inst: ClarificationInstance) -> tuple[int, float, float]:
         rng = random.Random(f"{seed}:{inst.id}")
@@ -346,7 +349,9 @@ def evidence_size_sweep(
 
     Pools are built once at the largest requested size and truncated to
     each n; instances whose generation or evaluation fails at a given n
-    are skipped there with a recorded reason.
+    are skipped there with a recorded reason, prefixed ``pool: `` or
+    ``n=<N>: ``.  A point at which every instance is skipped fails the
+    whole sweep.
     """
     if not n_values:
         raise ValueError("n_values is empty")
@@ -354,27 +359,32 @@ def evidence_size_sweep(
         b <= a for a, b in zip(n_values, n_values[1:])
     ):
         raise ValueError("n_values must be strictly increasing positive integers")
-    if not instances:
-        raise DataError("no instances given")
 
     build_config = replace(pool_config, k=max(max(n_values), pool_config.k))
 
+    # Each step re-raises its error with its prefix, so that a failed run
+    # quotes the reason as skip_reasons lists it.
     def pool_texts(inst: ClarificationInstance) -> list[str]:
-        pool = build_pool(build_config, inst, index, table, query_embedder)
-        return resolve_texts(pool, corpus, inst)
+        try:
+            pool = build_pool(build_config, inst, index, table, query_embedder)
+            return resolve_texts(pool, corpus, inst)
+        except ClarikitError as exc:
+            raise type(exc)(f"pool: {exc}") from None
 
-    def evaluate_at(n: int, inst: ClarificationInstance, texts: list[str]) -> MetricReport:
-        clar = generator(GeneratorRequest(inst.query, tuple(texts[:n]), max_facets, emit_question))
-        return evaluate_instance(clar.facets, inst.facets, embedder)
+    def evaluate_at(n: int, inst: ClarificationInstance) -> MetricReport:
+        evidence = tuple(texts[inst.id][:n])
+        try:
+            clar = generator(GeneratorRequest(inst.query, evidence, max_facets, emit_question))
+            return evaluate_instance(clar.facets, inst.facets, embedder)
+        except ClarikitError as exc:
+            raise type(exc)(f"n={n}: {exc}") from None
 
-    built, pool_skips = _per_instance(pool_texts, instances)
-    skips = [(iid, f"pool: {reason}") for iid, reason in pool_skips]
+    built, skips = _per_instance(pool_texts, instances)
+    texts = {inst.id: inst_texts for inst, inst_texts in built}
     points: list[SweepPoint] = []
     for n in n_values:
-        done, skipped = _per_instance(
-            partial(evaluate_at, n), [inst for inst, _ in built], [t for _, t in built]
-        )
-        skips += [(iid, f"n={n}: {reason}") for iid, reason in skipped]
+        done, skipped = _per_instance(partial(evaluate_at, n), [inst for inst, _ in built])
+        skips += skipped
         points.append(
             SweepPoint(
                 n_evidence=n,
@@ -613,19 +623,6 @@ def _metric_csv_text(head: Sequence[str], rows: Sequence[tuple[Sequence, MetricR
     return buf.getvalue()
 
 
-def summary_csv_text(report: ExperimentReport) -> str:
-    head = ("config_hash", "evaluated_count", "skipped_count")
-    lead = (report.config_hash, report.evaluated_count, report.skipped_count)
-    return _metric_csv_text(head, [(lead, report.mean)])
-
-
-def sweep_csv_text(report: SweepReport) -> str:
-    return _metric_csv_text(
-        ("n_evidence", "evaluated_count", "skipped_count"),
-        [((p.n_evidence, p.evaluated_count, p.skipped_count), p.report) for p in report.points],
-    )
-
-
 def run_experiment(
     config: dict | str | Path | Resources,
     parallelism: int | None = None,
@@ -637,8 +634,9 @@ def run_experiment(
     input order.  ``output_dir`` is created once the config has loaded and
     before the first instance runs, so a path that can never be a
     directory raises ``OSError`` at once.  Outputs (report.json,
-    summary.csv in output_dir) are written atomically, and only after the
-    whole run succeeds.
+    summary.csv in output_dir) are written together and atomically, and
+    only after the whole run succeeds: a run in which every instance was
+    skipped raises and writes neither.
 
     Only a remote generator runs on worker threads: ``parallelism`` of
     them, by default the CPU count, each doing pool, generate and evaluate
@@ -684,8 +682,12 @@ def run_experiment(
         skip_reasons=tuple(skips),
     )
 
-    atomic_write_json(out_dir / "report.json", report.to_dict())
-    atomic_write_text(out_dir / "summary.csv", summary_csv_text(report))
+    report_json = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    summary_csv = _metric_csv_text(
+        ("config_hash", "evaluated_count", "skipped_count"),
+        [((report.config_hash, report.evaluated_count, report.skipped_count), report.mean)],
+    )
+    atomic_write_text(out_dir / "report.json", report_json, (out_dir / "summary.csv", summary_csv))
     return report
 
 

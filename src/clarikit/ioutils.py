@@ -8,26 +8,35 @@ import tempfile
 from pathlib import Path
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file + rename in the same directory.
+def atomic_write_text(path: str | Path, text: str, *more: tuple[str | Path, str]) -> None:
+    """Write text to path, and each ``(path, text)`` of ``more`` after it,
+    via a temp file + rename in each path's directory.
 
-    A crash mid-write leaves the previous file (or nothing) at path, never
-    a truncated one.
+    Every temp file is written and fsynced before the first rename, and the
+    renames run in order, so a failure while writing leaves every path as
+    it was: the previous file (or nothing), never a truncated one, and
+    never a new file beside an old one.  No temp file is left behind.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    temps: list[tuple[str, Path]] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        for target, content in ((path, text), *more):
+            target = Path(target)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+            temps.append((tmp, target))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(content)
+                fh.flush()
+                os.fsync(fh.fileno())
+        for tmp, target in temps:
+            os.replace(tmp, target)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        # A temp file already renamed is gone, and its unlink fails quietly.
+        for tmp, _ in temps:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         raise
 
 

@@ -476,9 +476,10 @@ def evaluate_instance(
 
 
 def mean_report(reports: Sequence[MetricReport]) -> MetricReport:
-    """Field-wise mean of metric reports; an empty sequence yields all zeros."""
+    """Field-wise mean of metric reports; an empty sequence raises :class:`DataError`."""
+    if not reports:
+        raise DataError("no metric reports to average")
     flats = [report.to_flat_dict() for report in reports]
-    count = max(len(flats), 1)
     return MetricReport.from_flat_dict(
-        {col: math.fsum(flat[col] for flat in flats) / count for col in METRIC_COLUMNS}
+        {col: math.fsum(flat[col] for flat in flats) / len(flats) for col in METRIC_COLUMNS}
     )

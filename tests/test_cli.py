@@ -695,6 +695,43 @@ class TestExperimentAndBootstrap:
         assert captured.err.count("\n") == 1
         assert built == []
 
+    def _run_failing(self, data, tmp_path, capsys, code, **changes):
+        """Run ``experiment`` on the fixture's config with ``changes``; return
+        its one stderr line after checking that it wrote nothing but the
+        empty ``output_dir``, which is created before the first instance."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**json.loads(data["config"].read_text()), **changes}))
+        assert main(["experiment", "--config", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert list((tmp_path / "out").iterdir()) == []
+        return line
+
+    def test_closed_book_extractive_exits_3_writing_nothing(self, data, tmp_path, capsys):
+        write_jsonl(
+            data["instances"],
+            [{"id": iid, "query": "topic0", "facets": ["fct0x0a"]} for iid in ("i1", "i2")],
+        )
+        retrieval = {"alignment": "closed_book", "k": 5}
+        line = self._run_failing(data, tmp_path, capsys, 3, retrieval=retrieval)
+        assert line == "generator error: all 2 instances skipped; first i1: no evidence"
+
+    def test_remote_generator_down_exits_3_writing_nothing(
+        self, data, tmp_path, capsys, mock_endpoint
+    ):
+        mock_endpoint.behavior = lambda req: (500, {"error": "down"}, 0)
+        generator = {"kind": "remote", "endpoint": endpoint_url(mock_endpoint)}
+        line = self._run_failing(data, tmp_path, capsys, 3, generator=generator)
+        assert line.startswith(
+            "generator error: all 6 instances skipped; first inst0: generator returned status 500"
+        )
+
+    def test_no_instances_exits_2_writing_nothing(self, data, tmp_path, capsys):
+        (tmp_path / "empty.jsonl").write_text("")
+        line = self._run_failing(data, tmp_path, capsys, 2, instances=str(tmp_path / "empty.jsonl"))
+        assert line == "data error: no instances given"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -872,6 +909,42 @@ class TestAtomicWrites:
         assert target.read_text() == "original"
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("command", ["experiment", "evaluate"])
+    def test_a_run_changes_both_files_or_neither(
+        self, data, tmp_path, capsys, monkeypatch, command
+    ):
+        generated = tmp_path / "generated.jsonl"
+        if command == "experiment":
+            argv = ["experiment", "--config", str(data["config"])]
+            outputs = [tmp_path / "out" / "report.json", tmp_path / "out" / "summary.csv"]
+        else:
+            argv = ["evaluate", "--generated", str(generated), "--truth", str(data["instances"]),
+                    "--out", str(tmp_path / "eval.jsonl")]
+            outputs = [tmp_path / "eval.jsonl", tmp_path / "eval.csv"]
+        write_jsonl(generated, [{"id": i.id, "facets": ["x"]} for i in data["instances_list"]])
+        assert main(argv) == 0
+        before = [path.read_bytes() for path in outputs]
+
+        # A second run whose outputs differ, with the second temp file's write failing.
+        config = json.loads(data["config"].read_text())
+        data["config"].write_text(json.dumps({**config, "seed": config["seed"] + 1}))
+        instances = data["instances_list"]
+        write_jsonl(generated, [{"id": i.id, "facets": list(i.facets)} for i in instances])
+        real_fsync, fsyncs = os.fsync, []
+
+        def failing_fsync(fd):
+            fsyncs.append(fd)
+            if len(fsyncs) == 2:
+                raise OSError("simulated full disk")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "io error: simulated full disk\n"
+        assert [path.read_bytes() for path in outputs] == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 def _config(**changes):
     """The fixture's config with top-level keys replaced, as a file's text."""
@@ -980,6 +1053,26 @@ ERROR_PATHS = {
         ["sweep", "--config", "{bad}", "--n", "1,2", "--out", "{out}"],
         2,
         "data error: no instances given",
+    ),
+    "pool-no-instances": (
+        _config(instances="empty"),
+        ["pool", "--config", "{bad}", "--out", "{out}"],
+        2,
+        "data error: no instances given",
+    ),
+    "evaluate-no-truth-instances": (
+        "",
+        ["evaluate", "--generated", "{instances}", "--truth", "{bad}", "--out", "{out}"],
+        2,
+        "data error: {bad}: no instances given",
+    ),
+    # The extractive generator has nothing to draw on, so every instance is
+    # skipped at the first point and the whole sweep fails.
+    "sweep-closed-book": (
+        _config(retrieval={"alignment": "closed_book", "k": 5}),
+        ["sweep", "--config", "{bad}", "--n", "1,2", "--out", "{out}"],
+        3,
+        "generator error: all 6 instances skipped; first inst0: n=1: no evidence",
     ),
     "config-unknown-generator-kind": (
         _generator(kind="llm"),
@@ -1201,19 +1294,32 @@ def _fuzz_inputs(root, mode: str, kind: str, endpoint: str) -> dict:
     return paths
 
 
-def _run_fuzzed(capsys, root, argv, paths, junk_path=None) -> None:
+def _run_fuzzed(capsys, root, argv, paths, junk_path=None) -> tuple[int, str]:
+    """Run ``argv`` and check the boundary's rules; return its exit code and
+    its one stderr line ("" on success)."""
     before = sorted(root.rglob("*"))
     code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
-    assert code in (0, 2), (code, captured.err)
+    assert code in (0, 2, 3), (code, captured.err)
+    if code == 0:
+        return code, ""
+    (line,) = captured.err.splitlines()
     if code == 2:
-        (line,) = captured.err.splitlines()
-        assert line.startswith("data error: ")
+        assert line.startswith("data error: "), line
         if junk_path is not None:
             assert str(junk_path) in line, line
-        assert captured.out == ""
-        assert sorted(root.rglob("*")) == before
+    else:
+        assert line.startswith(("generator error: ", "io error: ")), line
+    assert captured.out == ""
+    after = sorted(root.rglob("*"))
+    if argv[0] == "experiment":
+        # The one thing a failed run may leave: experiment creates its
+        # output_dir, empty, before its first instance runs, so a run whose
+        # every instance is skipped (exit 2 or 3) leaves it behind.
+        after = [p for p in after if p in before or not p.is_dir() or any(p.iterdir())]
+    assert after == before
+    return code, line
 
 
 def _fuzz_settings(max_examples: int) -> settings:
@@ -1224,8 +1330,44 @@ def _fuzz_settings(max_examples: int) -> settings:
     )
 
 
+# Each JSON type that a report's per_instance, or one of its rows, must not be.
+_WRONG_ROWS = ["null", "true", "1", "0.5", '"x"', "{}"]
+
+
 class TestFuzzedInputs:
-    """No malformed input crashes a command or gets an exit code other than 2."""
+    """No malformed input crashes a command.  It exits 2 with one data error,
+    or 3 with one generator or io error, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "rows", [*_WRONG_ROWS, *(f"[{raw}]" for raw in _WRONG_ROWS if raw != "{}"), "[[]]"]
+    )
+    def test_bootstrap_rows_of_a_wrong_type(self, tmp_path, capsys, rows):
+        report = tmp_path / "report.json"
+        report.write_text(f'{{"per_instance": {rows}}}')
+        paths = {"report": report}
+        argv = ["bootstrap", "--a", "{report}", "--b", "{report}", "--metric", "exact_match_f1"]
+        assert _run_fuzzed(capsys, tmp_path, argv, paths) == (
+            2, "data error: A: per-instance rows must be a list of objects"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *_CONFIG_COMMANDS,
+            ["taxonomy", "--instances", "{instances}", "--out", "{out}"],
+            _EVALUATE,
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_output_under_a_regular_file(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        paths = _fuzz_inputs(tmp_path, "lexical", "extractive", None)
+        paths["out"] = paths["corpus"] / "result.out"
+        paths["config"].write_text(
+            json.dumps({**paths["config_obj"], "output_dir": "corpus.jsonl/out"})
+        )
+        code, line = _run_fuzzed(capsys, tmp_path, argv, paths)
+        assert (code, line.split(":")[0]) == (3, "io error")
 
     @_fuzz_settings(150)
     @given(

@@ -119,27 +119,25 @@ class TestAlignmentStats:
         assert report.evaluated_count == 1
 
     @pytest.mark.parametrize("fault", ["unknown document", "empty truth"])
-    def test_only_pool_builder_errors_are_skips(self, planted, fault):
+    def test_resolve_and_scoring_errors_are_skips(self, planted, fault):
+        # Not only a pool that fails to build: any clarikit error in an
+        # instance's step skips it, and the run goes on.
         inst = planted["instances"][0]
+        aligned = lambda i: build_pool(planted["aligned"], i, index=planted["index"])
         if fault == "unknown document":
             entry = PoolEntry(doc_id="nope", score=1.0, provenance=frozenset({"Q"}))
             pool = EvidencePool(inst.id, (entry,), planted["aligned"])
-            builder, match = (lambda i: pool), "unknown document id 'nope'"
+            builder = lambda i: pool if i is inst else aligned(i)
+            reason = "unknown document id 'nope'"
         else:
             inst = replace(inst, facets=("?!",))
-            builder = lambda i: build_pool(planted["aligned"], i, index=planted["index"])
-            match = "truth facets normalize to an empty token set"
-        built = []
-
-        def recording(i):
-            built.append(i.id)
-            return builder(i)
-
-        # The error is raised before the next instance's pool is built.
+            builder, reason = aligned, "truth facets normalize to an empty token set"
         later = planted["instances"][1]
-        with pytest.raises(DataError, match=match):
-            alignment_stats([inst, later], recording, corpus=planted["corpus"])
-        assert built == [inst.id]
+        report = alignment_stats([inst, later], builder, corpus=planted["corpus"])
+        ((skipped_id, why),) = report.skip_reasons
+        assert skipped_id == inst.id and reason in why
+        assert [iid for iid, _, _ in report.per_instance] == [later.id]
+        assert report.config == planted["aligned"]
 
     def test_aggregates_equal_per_instance_means(self, planted):
         report = alignment_stats(
@@ -325,19 +323,26 @@ class TestEvidenceSizeSweep:
                     index=planted["index"],
                 )
 
-    def test_closed_book_instances_skipped(self, planted):
+    def test_closed_book_fails_the_whole_sweep(self, planted):
+        # The extractive generator has no evidence to draw on at any n, so
+        # the first point skips every instance and the sweep fails.
         cfg = RetrievalConfig(alignment="closed_book", k=5)
-        report = evidence_size_sweep(
-            planted["instances"][:4],
-            extractive_generate,
-            cfg,
-            [1, 2],
-            corpus=planted["corpus"],
-        )
-        for point in report.points:
-            assert point.evaluated_count == 0
-            assert point.skipped_count == 4
-        assert any("no evidence" in reason for _, reason in report.skip_reasons)
+        with pytest.raises(
+            GeneratorError, match=r"^all 4 instances skipped; first inst0: n=1: no evidence"
+        ):
+            evidence_size_sweep(
+                planted["instances"][:4],
+                extractive_generate,
+                cfg,
+                [1, 2],
+                corpus=planted["corpus"],
+            )
+
+    def test_no_pool_fails_the_sweep_with_its_prefix(self, planted):
+        with pytest.raises(DataError, match=r"^all 1 instances skipped; first blank: pool: empty"):
+            evidence_size_sweep(
+                [BLANK], extractive_generate, planted["aligned"], [1], index=planted["index"]
+            )
 
     def test_skip_reasons_keep_their_prefix_and_order(self, planted):
         def refuse_topic1(request):
@@ -710,7 +715,7 @@ class TestRunExperiment:
         assert report.mean.exact_match.f1 == 1.0
         assert len(mock_endpoint.requests) == 8
 
-    def test_remote_generator_failures_recorded(self, tmp_path, mock_endpoint):
+    def test_remote_generator_failing_everywhere_fails_the_run(self, tmp_path, mock_endpoint):
         from conftest import endpoint_url
 
         mock_endpoint.behavior = lambda req: (500, {"error": "down"}, 0)
@@ -723,10 +728,9 @@ class TestRunExperiment:
             {"alignment": "oracle", "k": 5},
             generator={"kind": "remote", "endpoint": endpoint_url(mock_endpoint)},
         )
-        report = run_experiment(config)
-        assert report.evaluated_count == 0
-        assert report.skipped_count == 1
-        assert "500" in report.skip_reasons[0][1]
+        with pytest.raises(GeneratorError, match=r"^all 1 instances skipped; first i1: .*500"):
+            run_experiment(config)
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_set_sim_table_embedder(self, tmp_path):
         # Facet vectors keyed by normalized facet text drive Set-Sim; "cast"

@@ -563,9 +563,10 @@ class TestEvaluateInstance:
 
 
 class TestMeanReport:
-    def test_empty_is_zero(self):
-        flat = mean_report([]).to_flat_dict()
-        assert all(v == 0.0 for v in flat.values())
+    def test_empty_raises(self):
+        # A mean over nothing is no measurement, not a row of zeros.
+        with pytest.raises(DataError, match="no metric reports to average"):
+            mean_report([])
 
     def test_mean_of_identical(self):
         r = evaluate_instance(["a"], ["a"])
