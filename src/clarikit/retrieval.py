@@ -141,18 +141,19 @@ def _transpose(
     Entry ``i`` gets the unique key ``cols[i] * n + i``, ``n`` entries in
     all.  One in-place sort orders the keys by column and then by entry, so
     within each column the rows stay ascending, and ``keys % n`` is the
-    order in which to gather rows and values.
+    order in which to gather rows and values.  Column ``c`` starts at the
+    first key at or above the probe ``c * n``.
     """
     n = len(cols)
-    rows = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
-    # Below 2**31 columns and entries, every key is below 2**62.
-    keys = np.multiply(cols, n, dtype=np.int64)
-    keys += np.arange(n, dtype=np.int64)
+    # Keys and probes are at most n_cols * n: int32 holds them below 2**31.
+    key_type = np.int32 if n_cols * n < 2**31 else np.int64
+    keys = np.multiply(cols, n, dtype=key_type)
+    keys += np.arange(n, dtype=key_type)
     keys.sort()
+    t_offsets = np.searchsorted(keys, np.arange(n_cols + 1, dtype=key_type) * n)
     keys %= n
-    t_offsets = np.zeros(n_cols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n_cols), out=t_offsets[1:])
-    return t_offsets, rows[keys], vals[keys]
+    rows = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))[keys]
+    return t_offsets, rows, vals[keys]
 
 
 class _TermIds(dict):
@@ -180,28 +181,30 @@ def build_inverted_index(corpus: Corpus) -> InvertedIndex:
         tokens = normalize(doc.text)
         lengths.append(len(tokens))
         stream.extend(map(term_ids.__getitem__, tokens))
-    n_docs, n_tokens = len(lengths), len(stream)
+    n_docs, n_tokens, n_terms = len(lengths), len(stream), len(term_ids)
     doc_lengths = np.array(lengths, dtype=np.int64)
-    # Term ids and ordinals are int32, so every key is below 2**62.
-    keys = np.multiply(np.frombuffer(stream, dtype=np.int32), n_docs, dtype=np.int64)
+    # Every key is below n_terms * n_docs: int32 holds them below 2**31.
+    key_type = np.int32 if n_terms * n_docs < 2**31 else np.int64
+    keys = np.multiply(np.frombuffer(stream, dtype=np.int32), n_docs, dtype=key_type)
     del stream
     keys += np.repeat(np.arange(n_docs, dtype=np.int32), doc_lengths)
     keys.sort()
     run_start = np.empty(n_tokens, dtype=bool)
     run_start[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    keys = keys[run_start]
     first = np.flatnonzero(run_start)
     del run_start
     tfs = np.empty(len(first), dtype=np.int32)
     np.subtract(first[1:], first[:-1], out=tfs[:-1], casting="unsafe")
     tfs[-1:] = n_tokens - first[-1:]
-    keys = keys[first]
     del first
     ordinals = np.empty(len(keys), dtype=np.int32)
     np.remainder(keys, n_docs, out=ordinals, casting="unsafe")
     keys //= n_docs
-    offsets = np.zeros(len(term_ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=len(term_ids)), out=offsets[1:])
+    # Term t's postings start at the first key at or above it.
+    offsets = np.searchsorted(keys, np.arange(n_terms + 1, dtype=key_type))
+    del keys
     return InvertedIndex(
         term_ids=dict(term_ids),  # a plain dict: looking up an unknown term inserts nothing
         offsets=offsets,
@@ -217,10 +220,17 @@ def _idf(doc_count: int, df: int) -> float:
     return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
+# The largest k1 accepted.  With tf < 2**31 and fewer than 2**31 documents,
+# idf < 22 and len(d) / avgdl < 2**31, so at k1 <= 1e9 every intermediate of
+# the term formula stays below 22 * 2**31 * (1e9 + 1) < 1e20, and a term adds
+# at most idf * (k1 + 1), since its norm is at least tf: no score overflows.
+_BM25_K1_MAX = 1e9
+
+
 def _check_bm25_params(k1: float, b: float) -> None:
-    """BM25's free parameters: k1 finite and >= 0, b in [0, 1]; NaN fails both."""
-    if not (_is_finite_number(k1) and k1 >= 0):
-        raise ValueError(f"BM25 k1 must be finite and >= 0, got {k1}")
+    """BM25's free parameters: k1 in [0, 1e9], b in [0, 1]; NaN fails both."""
+    if not (_is_finite_number(k1) and 0.0 <= k1 <= _BM25_K1_MAX):
+        raise ValueError(f"BM25 k1 must be in [0, {_BM25_K1_MAX:.0e}], got {k1}")
     if not (_is_finite_number(b) and 0.0 <= b <= 1.0):
         raise ValueError(f"BM25 b must be in [0, 1], got {b}")
 

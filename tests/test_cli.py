@@ -5,6 +5,7 @@ import json
 import os
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -217,9 +218,9 @@ class TestPool:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("bm25_k1", 10**400, f"BM25 k1 must be finite and >= 0, got {10**400}"),
-            ("bm25_k1", -(10**400), f"BM25 k1 must be finite and >= 0, got {-(10**400)}"),
-            ("bm25_k1", True, "BM25 k1 must be finite and >= 0, got True"),
+            ("bm25_k1", 10**400, f"BM25 k1 must be in [0, 1e+09], got {10**400}"),
+            ("bm25_k1", -(10**400), f"BM25 k1 must be in [0, 1e+09], got {-(10**400)}"),
+            ("bm25_k1", True, "BM25 k1 must be in [0, 1e+09], got True"),
             ("bm25_b", "x", "BM25 b must be in [0, 1], got x"),
             ("bm25_b", False, "BM25 b must be in [0, 1], got False"),
             ("mmr_lambda", True, "mmr_lambda must be in [0, 1], got True"),
@@ -956,6 +957,11 @@ def _generator(**changes):
     return lambda config: json.dumps({**config, "generator": {**config["generator"], **changes}})
 
 
+def _retrieval(**changes):
+    """The fixture's config with retrieval keys replaced, as a file's text."""
+    return lambda config: json.dumps({**config, "retrieval": {**config["retrieval"], **changes}})
+
+
 _INSTANCE = json.dumps({"id": "a", "query": "q", "facets": ["f"]})
 _REPORT = json.dumps(
     {
@@ -1126,6 +1132,19 @@ ERROR_PATHS = {
         ["experiment", "--config", "{bad}"],
         2,
         "data error: config corpus file not found: {tmp}",
+    ),
+    # Past the k1 bound a BM25 score could overflow to inf.
+    "retrieve-k1-beyond-bound": (
+        "",
+        ["retrieve", "--corpus", "{corpus}", "--query", "topic0", "--k", "3", "--k1", "1e308"],
+        2,
+        "data error: BM25 k1 must be in [0, 1e+09], got 1e+308",
+    ),
+    "config-k1-beyond-bound": (
+        _retrieval(bm25_k1=1e308),
+        ["pool", "--config", "{bad}", "--out", "{out}"],
+        2,
+        "data error: invalid retrieval config: BM25 k1 must be in [0, 1e+09], got 1e+308",
     ),
     "retrieve-k-0": (
         "",
@@ -1333,6 +1352,16 @@ def _fuzz_settings(max_examples: int) -> settings:
 # Each JSON type that a report's per_instance, or one of its rows, must not be.
 _WRONG_ROWS = ["null", "true", "1", "0.5", '"x"', "{}"]
 
+# Each numeric flag, as the command line that it ends.
+_NUMERIC_FLAGS = {
+    "retrieve-k": ["retrieve", "--corpus", "{corpus}", "--query", "topic0", "--k"],
+    "bootstrap-iters": [*_BOOTSTRAP, "--iters"],
+    "taxonomy-top-k": ["taxonomy", "--instances", "{instances}", "--out", "{out}", "--top-k"],
+    "sweep-n": ["sweep", "--config", "{config}", "--out", "{out}", "--n"],
+    "loo-seed": ["loo", "--config", "{config}", "--out", "{out}", "--seed"],
+    "bootstrap-seed": [*_BOOTSTRAP, "--seed"],
+}
+
 
 class TestFuzzedInputs:
     """No malformed input crashes a command.  It exits 2 with one data error,
@@ -1368,6 +1397,19 @@ class TestFuzzedInputs:
         )
         code, line = _run_fuzzed(capsys, tmp_path, argv, paths)
         assert (code, line.split(":")[0]) == (3, "io error")
+
+    # No value here is a usage error: argparse reads "-1" as a value, and
+    # every one of them parses as an int.
+    @pytest.mark.parametrize("value", [0, -1, 2**63, 10**400], ids=["0", "-1", "2**63", "10**400"])
+    @pytest.mark.parametrize("argv", _NUMERIC_FLAGS.values(), ids=_NUMERIC_FLAGS.keys())
+    def test_numeric_flag_at_an_extreme_value(self, tmp_path, capsys, monkeypatch, argv, value):
+        monkeypatch.chdir(tmp_path)
+        paths = _fuzz_inputs(tmp_path, "lexical", "extractive", None)
+        paths["bad"] = tmp_path / "report.json"  # bootstrap's two reports
+        paths["bad"].write_text(_REPORT)
+        start = time.monotonic()
+        _run_fuzzed(capsys, tmp_path, [*argv, str(value)], paths)
+        assert time.monotonic() - start < 10
 
     @_fuzz_settings(150)
     @given(

@@ -3,7 +3,9 @@
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
+from itertools import islice
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -29,7 +31,7 @@ from clarikit.retrieval import (
     resolve_texts,
     tfidf_similarity,
 )
-from clarikit.retrieval import _transpose
+from clarikit.retrieval import _BM25_K1_MAX, _transpose
 
 
 def round_robin_oracle(lists, max_items):
@@ -253,6 +255,61 @@ class TestInvertedIndex:
             assert (g.dtype, g.shape) == (w.dtype, w.shape)
             assert g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize(
+        "n_docs, terms_per_doc",
+        [
+            (46_340, 1),  # n_terms * n_docs = 2,147,395,600: int32 keys
+            (46_341, 1),  # 2,147,488,281: int64 keys
+            (32_768, 2),  # exactly 2**31, the forward index's last probe: int64 keys
+        ],
+        ids=["int32", "int64", "at-2**31"],
+    )
+    def test_both_key_widths_match_the_oracles(self, n_docs, terms_per_doc):
+        # Every term occurs in one document, so n_terms = terms_per_doc * n_docs
+        # and the largest keys lie next to the 2**31 boundary.
+        texts = {
+            f"d{i}": " ".join(f"t{i}x{j}" for j in range(terms_per_doc)) for i in range(n_docs)
+        }
+        corpus = corpus_of(texts)
+        index, expected = build_inverted_index(corpus), index_oracle(corpus)
+        assert len(index.term_ids) == terms_per_doc * n_docs
+        assert list(index.term_ids.items()) == list(expected.term_ids.items())
+        got = [getattr(index, name) for name in ("offsets", "ordinals", "tfs", "doc_lengths")]
+        want = [getattr(expected, name) for name in ("offsets", "ordinals", "tfs", "doc_lengths")]
+        got += index.forward
+        want += transpose_oracle(index.offsets, index.ordinals, index.tfs, n_docs)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+    def test_build_and_forward_index_peak_above_what_they_keep(self):
+        # A seeded Zipf corpus: 2,000 documents of 20-100 tokens, word r of a
+        # 10,000-word vocabulary drawn with probability proportional to 1 / r.
+        rng = np.random.default_rng(3)
+        words = np.array([f"w{r}" for r in range(10_000)])
+        lengths = rng.integers(20, 101, size=2_000)
+        p = 1.0 / np.arange(1, len(words) + 1)
+        tokens = iter(words[rng.choice(len(words), int(lengths.sum()), p=p / p.sum())].tolist())
+        corpus = corpus_of({f"d{i}": " ".join(islice(tokens, n)) for i, n in enumerate(lengths)})
+
+        def transient_bytes(build):
+            """What ``build()`` allocated at its peak above what its result keeps."""
+            tracemalloc.start()
+            try:
+                result = build()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return result, peak - kept
+
+        # Int64 sort keys and int64 temporaries the length of the postings
+        # cost about 17 B per token for the build and 12 B per posting for
+        # the forward index; int32 keys, freed early, about 6 and 5.
+        index, build_bytes = transient_bytes(lambda: build_inverted_index(corpus))
+        _, forward_bytes = transient_bytes(lambda: index.forward)
+        assert build_bytes / lengths.sum() < 10
+        assert forward_bytes / len(index.ordinals) < 8
+
     def test_shared_term_two_entries(self):
         index = build_inverted_index(corpus_of({"d1": "x y", "d2": "x z"}))
         assert len(postings_of(index, "x")) == 2
@@ -415,11 +472,23 @@ class TestBm25:
             assert r.score.hex() == score.hex()
 
     @pytest.mark.parametrize(
-        "k1, b", [(math.nan, 0.4), (math.inf, 0.4), (-1.0, 0.4), (0.9, math.nan), (0.9, 1.5)]
+        "k1, b",
+        [
+            (math.nan, 0.4), (math.inf, 0.4), (-1.0, 0.4), (1e308, 0.4),
+            (math.nextafter(_BM25_K1_MAX, math.inf), 0.4), (0.9, math.nan), (0.9, 1.5),
+        ],
     )
     def test_bad_parameters_rejected(self, tiny_corpus, k1, b):
         with pytest.raises(ValueError, match="BM25"):
             bm25_retrieve(build_inverted_index(tiny_corpus), "penny", k=3, k1=k1, b=b)
+
+    @pytest.mark.parametrize("k1", [_BM25_K1_MAX, 10**9])
+    def test_largest_k1_scores_exactly(self, k1):
+        texts = {"a": "x y x", "b": "x z", "c": "y y y y z", "d": "w"}
+        got = bm25_retrieve(build_inverted_index(corpus_of(texts)), "x y z", 3, k1=k1)
+        expected = bm25_oracle(texts, "x y z", k1, 0.4)
+        assert {r.doc_id: r.score.hex() for r in got} == {d: s.hex() for d, s in expected.items()}
+        assert all(math.isfinite(r.score) for r in got)
 
 
 class TestDenseRetrieve:
@@ -595,9 +664,10 @@ class TestRetrievalConfig:
             ({"k": 10.5}, "k must be an integer, got 10.5"),
             ({"k": True}, "k must be an integer, got True"),
             ({"candidate_n": 50.0}, "candidate_n must be an integer, got 50.0"),
-            ({"bm25_k1": math.nan}, "BM25 k1 must be finite and >= 0, got nan"),
-            ({"bm25_k1": math.inf}, "BM25 k1 must be finite and >= 0, got inf"),
-            ({"bm25_k1": -1.0}, "BM25 k1 must be finite and >= 0, got -1.0"),
+            ({"bm25_k1": math.nan}, "BM25 k1 must be in [0, 1e+09], got nan"),
+            ({"bm25_k1": math.inf}, "BM25 k1 must be in [0, 1e+09], got inf"),
+            ({"bm25_k1": -1.0}, "BM25 k1 must be in [0, 1e+09], got -1.0"),
+            ({"bm25_k1": 1e308}, "BM25 k1 must be in [0, 1e+09], got 1e+308"),
             ({"bm25_b": math.nan}, "BM25 b must be in [0, 1], got nan"),
         ],
     )
