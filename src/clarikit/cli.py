@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from array import array
 from pathlib import Path
 
 from . import retrieval
 from .corpus import iter_generated, load_corpus, load_embeddings, load_instances, read_json_object
 from .errors import DataError, GeneratorError
 from .harness import (
-    _metric_csv_text,
+    _metric_csv_lines,
     _per_instance,
     alignment_stats,
     evidence_size_sweep,
@@ -30,7 +31,7 @@ from .harness import (
     taxonomy_analysis,
 )
 from .ioutils import atomic_write_json, atomic_write_text
-from .metrics import METRIC_COLUMNS, evaluate_instance, mean_report, table_embedder
+from .metrics import METRIC_COLUMNS, _mean_of_columns, evaluate_instance, table_embedder
 from .retrieval import build_inverted_index, write_pools
 
 __all__ = ["main", "build_parser"]
@@ -187,18 +188,31 @@ def cmd_evaluate(args) -> int:
         embedder = table_embedder(load_embeddings(args.embeddings))
 
     generated = dict(iter_generated(args.generated))
-    rows = []
+    # Per instance, only its 13 metric values are kept, one column per metric.
+    columns = [array("d") for _ in METRIC_COLUMNS]
     for inst in truth:
         if inst.id not in generated:
             raise DataError(
                 f"{args.truth}: instance id {inst.id!r} has no generated facets in {args.generated}"
             )
-        rows.append((inst.id, evaluate_instance(generated[inst.id], list(inst.facets), embedder)))
-    mean = mean_report([report for _, report in rows])
-    rows.append(("__mean__", mean))
-    lines = [json.dumps({"instance_id": i, **r.to_flat_dict()}, sort_keys=True) for i, r in rows]
-    csv_text = _metric_csv_text(("instance_id",), [((i,), r) for i, r in rows])
-    atomic_write_text(args.out, "\n".join(lines) + "\n", (csv_path, csv_text))
+        try:
+            report = evaluate_instance(generated.pop(inst.id), list(inst.facets), embedder)
+        except DataError as exc:
+            raise DataError(f"{args.truth}: instance id {inst.id!r}: {exc}") from exc
+        for column, value in zip(columns, report.to_flat_dict().values()):
+            column.append(value)
+    mean = _mean_of_columns(columns)
+
+    def rows():
+        for i, inst in enumerate(truth):
+            yield inst.id, dict(zip(METRIC_COLUMNS, [column[i] for column in columns]))
+        yield "__mean__", mean.to_flat_dict()
+
+    atomic_write_text(
+        args.out,
+        (json.dumps({"instance_id": i, **flat}, sort_keys=True) + "\n" for i, flat in rows()),
+        (csv_path, _metric_csv_lines(("instance_id",), (((i,), f.values()) for i, f in rows()))),
+    )
 
     flat = mean.to_flat_dict()
     _emit(
@@ -270,9 +284,17 @@ def cmd_sweep(args) -> int:
         emit_question=res.emit_question,
         query_embedder=res.query_embedder,
     )
-    csv_text = _metric_csv_text(
-        ("n_evidence", "evaluated_count", "skipped_count"),
-        [((p.n_evidence, p.evaluated_count, p.skipped_count), p.report) for p in report.points],
+    csv_text = "".join(
+        _metric_csv_lines(
+            ("n_evidence", "evaluated_count", "skipped_count"),
+            [
+                (
+                    (p.n_evidence, p.evaluated_count, p.skipped_count),
+                    p.report.to_flat_dict().values(),
+                )
+                for p in report.points
+            ],
+        )
     )
     atomic_write_text(args.out, csv_text)
     _emit(

@@ -15,7 +15,6 @@ means over nothing (see :func:`_per_instance`).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -24,7 +23,7 @@ import threading
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -612,15 +611,26 @@ def load_resources(config: dict | str | Path, base_dir: Path | None = None) -> R
     )
 
 
-def _metric_csv_text(head: Sequence[str], rows: Sequence[tuple[Sequence, MetricReport]]) -> str:
-    """CSV with the ``head`` columns, then METRIC_COLUMNS at six decimals."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*head, *METRIC_COLUMNS])
-    for lead, report in rows:
-        flat = report.to_flat_dict()
-        writer.writerow([*lead, *[f"{flat[col]:.6f}" for col in METRIC_COLUMNS]])
-    return buf.getvalue()
+class _Echo:
+    """A file for csv.writer whose write gives the line back, so that
+    ``writerow`` returns the line it formatted."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+def _metric_csv_lines(
+    head: Sequence[str], rows: Iterable[tuple[Sequence, Iterable[float]]]
+) -> Iterator[str]:
+    """Lines of a CSV with the ``head`` columns, then METRIC_COLUMNS at six decimals.
+
+    Each row is its ``head`` values and its metric values in METRIC_COLUMNS
+    order.  Lines are formatted as they are drawn.
+    """
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow([*head, *METRIC_COLUMNS])
+    for lead, values in rows:
+        yield writer.writerow([*lead, *[f"{value:.6f}" for value in values]])
 
 
 def run_experiment(
@@ -683,9 +693,16 @@ def run_experiment(
     )
 
     report_json = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    summary_csv = _metric_csv_text(
-        ("config_hash", "evaluated_count", "skipped_count"),
-        [((report.config_hash, report.evaluated_count, report.skipped_count), report.mean)],
+    summary_csv = "".join(
+        _metric_csv_lines(
+            ("config_hash", "evaluated_count", "skipped_count"),
+            [
+                (
+                    (report.config_hash, report.evaluated_count, report.skipped_count),
+                    report.mean.to_flat_dict().values(),
+                )
+            ],
+        )
     )
     atomic_write_text(out_dir / "report.json", report_json, (out_dir / "summary.csv", summary_csv))
     return report
@@ -714,10 +731,14 @@ def paired_bootstrap(
 
     Rows are dicts carrying "instance_id" and flat metric keys (as emitted
     in report.json).  Reports the mean of B minus A and the 2.5/97.5
-    percentile interval of resampled mean differences.
+    percentile interval of resampled mean differences.  ``iterations`` must
+    be >= 1 and ``seed`` an integer >= 0, or ``ValueError`` is raised; a
+    draw of iterations x instances that does not fit raises ``DataError``.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
     def extract(rows: Sequence[dict], name: str) -> dict[str, float]:
         if not isinstance(rows, (list, tuple)) or not all(isinstance(r, dict) for r in rows):
@@ -754,7 +775,7 @@ def paired_bootstrap(
     try:
         # One draw for all iterations: drawing in parts would change the samples.
         means = diffs[rng.integers(0, len(ids), size=(iterations, len(ids)))].mean(axis=1)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # numpy refuses a shape past its index range
         raise DataError(
             f"{iterations} iterations x {len(ids)} instances do not fit in memory"
         ) from exc

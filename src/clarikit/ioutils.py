@@ -6,16 +6,23 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 
-def atomic_write_text(path: str | Path, text: str, *more: tuple[str | Path, str]) -> None:
+def atomic_write_text(
+    path: str | Path, text: str | Iterable[str], *more: tuple[str | Path, str | Iterable[str]]
+) -> None:
     """Write text to path, and each ``(path, text)`` of ``more`` after it,
     via a temp file + rename in each path's directory.
 
+    A text is a ``str`` or an iterable of ``str`` pieces, written as they
+    are drawn, so a caller can format a file while it is written.
+
     Every temp file is written and fsynced before the first rename, and the
-    renames run in order, so a failure while writing leaves every path as
-    it was: the previous file (or nothing), never a truncated one, and
-    never a new file beside an old one.  No temp file is left behind.
+    renames run in order, so a failure while writing, an exception raised
+    by an iterable included, leaves every path as it was: the previous file
+    (or nothing), never a truncated one, and never a new file beside an old
+    one.  No temp file is left behind.
     """
     temps: list[tuple[str, Path]] = []
     try:
@@ -25,7 +32,7 @@ def atomic_write_text(path: str | Path, text: str, *more: tuple[str | Path, str]
             fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
             temps.append((tmp, target))
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(content)
+                fh.writelines((content,) if isinstance(content, str) else content)
                 fh.flush()
                 os.fsync(fh.fileno())
         for tmp, target in temps:

@@ -479,7 +479,14 @@ def mean_report(reports: Sequence[MetricReport]) -> MetricReport:
     """Field-wise mean of metric reports; an empty sequence raises :class:`DataError`."""
     if not reports:
         raise DataError("no metric reports to average")
-    flats = [report.to_flat_dict() for report in reports]
+    return _mean_of_columns(list(zip(*(report.to_flat_dict().values() for report in reports))))
+
+
+def _mean_of_columns(columns: Sequence[Sequence[float]]) -> MetricReport:
+    """Report of the column means, one non-empty column per METRIC_COLUMNS entry in order.
+
+    Each mean is the math.fsum of its column over the column's length.
+    """
     return MetricReport.from_flat_dict(
-        {col: math.fsum(flat[col] for flat in flats) / len(flats) for col in METRIC_COLUMNS}
+        {col: math.fsum(values) / len(values) for col, values in zip(METRIC_COLUMNS, columns)}
     )

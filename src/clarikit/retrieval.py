@@ -700,7 +700,7 @@ def resolve_texts(
 
 
 def write_pools(pools: Sequence[EvidencePool], path: str | Path) -> None:
-    lines = [
+    lines = (
         json.dumps(
             {
                 "instance_id": p.instance_id,
@@ -712,6 +712,7 @@ def write_pools(pools: Sequence[EvidencePool], path: str | Path) -> None:
             },
             sort_keys=True,
         )
+        + "\n"
         for p in pools
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    )
+    atomic_write_text(path, lines)

@@ -3,9 +3,11 @@
 import csv
 import json
 import os
+import random
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import endpoint_url, make_planted
 from clarikit.cli import main
-from clarikit.corpus import load_corpus, normalize
+from clarikit.corpus import (
+    iter_generated,
+    load_corpus,
+    load_embeddings,
+    load_instances,
+    normalize,
+)
 from clarikit.ioutils import atomic_write_text
 
 
@@ -445,6 +453,83 @@ class TestEvaluate:
             "__mean__,0.675000,0.675000,0.666667,0.166667,0.166667,0.166667,0.166667,"
             "0.166667,0.166667,0.440179,0.422221,0.352093,0.322014\n"
         )
+
+    def test_id_that_needs_quoting_is_pinned(self, tmp_path):
+        inst_id = 'a,"b"\nc'
+        code, out = self._evaluate(
+            tmp_path, [(inst_id, ["red apple"])], [(inst_id, "fruit", ["red apple"])]
+        )
+        assert code == 0
+        fields = (
+            '"exact_match_f1": 1.0, "exact_match_precision": 1.0, "exact_match_recall": 1.0, '
+            '"instance_id": {}, "set_bleu1": 1.0, "set_bleu2": 1.0, '
+            '"set_bleu3": 0.7937005259840998, "set_bleu4": 0.7071067811865476, '
+            '"set_sim_f1": 1.0, "set_sim_precision": 1.0, "set_sim_recall": 1.0, '
+            '"term_overlap_f1": 1.0, "term_overlap_precision": 1.0, "term_overlap_recall": 1.0'
+        )
+        assert out.read_text() == (
+            "{" + fields.format('"a,\\"b\\"\\nc"') + "}\n"
+            "{" + fields.format('"__mean__"') + "}\n"
+        )
+        values = "1.000000,1.000000,1.000000," * 3 + "1.000000,1.000000,0.793701,0.707107\n"
+        assert out.with_suffix(".csv").read_text() == (
+            "instance_id,term_overlap_precision,term_overlap_recall,term_overlap_f1,"
+            "exact_match_precision,exact_match_recall,exact_match_f1,set_sim_precision,"
+            "set_sim_recall,set_sim_f1,set_bleu1,set_bleu2,set_bleu3,set_bleu4\n"
+            '"a,""b""\nc",' + values + "__mean__," + values
+        )
+
+    def test_heap_above_its_inputs_is_under_1kb_per_instance(self, tmp_path, capsys):
+        # Per instance, evaluate keeps its 13 metric values and formats each
+        # output row as it writes it: no report object, no joined text.  The
+        # vocabulary is small, so the embedder's norm cache, which grows per
+        # distinct facet text and not per instance, stays small too.
+        n, rng = 1_000, random.Random(3)
+        words = [f"w{i}" for i in range(12)]
+
+        def facets():
+            count = rng.randint(2, 5)
+            return [" ".join(rng.sample(words, rng.randint(1, 2))) for _ in range(count)]
+
+        truth = {f"q{i}": facets() for i in range(n)}
+        generated = {i: facets() for i in truth}
+        texts = {
+            " ".join(normalize(facet))
+            for lists in (truth, generated)
+            for facet_list in lists.values()
+            for facet in facet_list
+        }
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("truth", "generated", "embeddings")}
+        write_jsonl(
+            paths["truth"],
+            [{"id": i, "query": "q", "question": None, "facets": f} for i, f in truth.items()],
+        )
+        write_jsonl(paths["generated"], [{"id": i, "facets": f} for i, f in generated.items()])
+        write_jsonl(
+            paths["embeddings"],
+            [{"id": t, "vector": [rng.random() for _ in range(8)]} for t in sorted(texts)],
+        )
+        argv = ["evaluate", "--out", str(tmp_path / "scores.jsonl")]
+        argv += [arg for name, path in paths.items() for arg in (f"--{name}", str(path))]
+        assert main(argv) == 0  # fills the matcher's memo before anything is measured
+
+        tracemalloc.start()
+        try:
+            inputs = (
+                load_instances(paths["truth"]),
+                load_embeddings(paths["embeddings"]),
+                dict(iter_generated(paths["generated"])),
+            )
+            held = tracemalloc.get_traced_memory()[0]
+            del inputs
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_instance = (peak - start - held) / n
+        assert per_instance < 1_000, f"{per_instance:.0f} B per instance above the inputs"
 
     def test_long_generated_list(self, tmp_path):
         generated = [f"facet {i}" for i in range(1200)]
@@ -910,6 +995,20 @@ class TestAtomicWrites:
         assert target.read_text() == "original"
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_an_iterable_that_raises_leaves_both_files(self, tmp_path):
+        first, second = tmp_path / "scores.jsonl", tmp_path / "scores.csv"
+        atomic_write_text(first, "old first\n", (second, iter(["old ", "second\n"])))
+        assert (first.read_text(), second.read_text()) == ("old first\n", "old second\n")
+
+        def pieces():
+            yield "new second, row 1\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            atomic_write_text(first, iter(["new first\n"] * 3), (second, pieces()))
+        assert (first.read_bytes(), second.read_bytes()) == (b"old first\n", b"old second\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scores.csv", "scores.jsonl"]
+
     @pytest.mark.parametrize("command", ["experiment", "evaluate"])
     def test_a_run_changes_both_files_or_neither(
         self, data, tmp_path, capsys, monkeypatch, command
@@ -1041,6 +1140,19 @@ ERROR_PATHS = {
         2,
         "data error: 1000000000000000 iterations x 2 instances do not fit in memory",
     ),
+    # Past numpy's index range, where it refuses the shape rather than the memory.
+    "bootstrap-iterations-beyond-index-range": (
+        _REPORT,
+        _BOOTSTRAP + ["--iters", str(2**63)],
+        2,
+        "data error: 9223372036854775808 iterations x 2 instances do not fit in memory",
+    ),
+    "bootstrap-negative-seed": (
+        _REPORT,
+        _BOOTSTRAP + ["--seed", "-1"],
+        2,
+        "data error: seed must be an integer >= 0, got -1",
+    ),
     "taxonomy-top-k-0": (
         _INSTANCE,
         _TAXONOMY + ["--top-k", "0"],
@@ -1071,6 +1183,28 @@ ERROR_PATHS = {
         ["evaluate", "--generated", "{instances}", "--truth", "{bad}", "--out", "{out}"],
         2,
         "data error: {bad}: no instances given",
+    ),
+    # A fault in one instance's scoring names the truth file and the instance.
+    "evaluate-generated-list-empty": (
+        json.dumps({"id": "inst0", "facets": []}),
+        ["evaluate", "--generated", "{bad}", "--truth", "{instances}", "--out", "{out}"],
+        2,
+        "data error: {instances}: instance id 'inst0': generated facet list is empty",
+    ),
+    "evaluate-generated-facets-normalize-to-nothing": (
+        json.dumps({"id": "inst0", "facets": ["?!"]}),
+        ["evaluate", "--generated", "{bad}", "--truth", "{instances}", "--out", "{out}"],
+        2,
+        "data error: {instances}: instance id 'inst0': "
+        "generated facets normalize to an empty token set",
+    ),
+    "evaluate-missing-embedding": (
+        json.dumps({"id": "other", "vector": [1.0]}),
+        ["evaluate", "--generated", "{instances}", "--truth", "{instances}",
+         "--embeddings", "{bad}", "--out", "{out}"],
+        2,
+        "data error: {instances}: instance id 'inst0': embedder failed for facet "
+        "'fct0x0a fct0x0b': no embedding for key 'fct0x0a fct0x0b'",
     ),
     # The extractive generator has nothing to draw on, so every instance is
     # skipped at the first point and the whole sweep fails.
