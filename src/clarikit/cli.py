@@ -13,16 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from array import array
 from pathlib import Path
+from typing import Callable
 
 from . import retrieval
-from .corpus import iter_generated, load_corpus, load_embeddings, load_instances, read_json_object
+from .corpus import load_corpus, load_instances, read_json_object
 from .errors import DataError, GeneratorError
 from .harness import (
-    _metric_csv_lines,
-    _per_instance,
     alignment_stats,
+    evaluate_generated,
     evidence_size_sweep,
     load_resources,
     loo_faithfulness,
@@ -31,7 +30,7 @@ from .harness import (
     taxonomy_analysis,
 )
 from .ioutils import atomic_write_json, atomic_write_text
-from .metrics import METRIC_COLUMNS, _mean_of_columns, evaluate_instance, table_embedder
+from .metrics import METRIC_COLUMNS
 from .retrieval import build_inverted_index, write_pools
 
 __all__ = ["main", "build_parser"]
@@ -131,24 +130,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, human: str, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
+def _emit(args, human: str, payload: Callable[[], dict]) -> int:
+    """Print ``human``, or the JSON of ``payload()`` under --json; exit code 0."""
+    print(json.dumps(payload(), sort_keys=True) if args.json else human)
+    return 0
 
 
 def cmd_retrieve(args) -> int:
     index = build_inverted_index(load_corpus(args.corpus))
     results = retrieval.bm25_retrieve(index, args.query, args.k, k1=args.k1, b=args.b)
     rows = [{"rank": r.rank, "doc_id": r.doc_id, "score": r.score} for r in results]
-    if args.json:
-        print(json.dumps({"query": args.query, "results": rows}, sort_keys=True))
-    else:
-        for row in rows:
-            print(f"{row['rank']:>3}  {row['score']:.6f}  {row['doc_id']}")
-        print(f"{len(rows)} results for {args.query!r}")
-    return 0
+    lines = [f"{row['rank']:>3}  {row['score']:.6f}  {row['doc_id']}" for row in rows]
+    return _emit(
+        args,
+        "\n".join([*lines, f"{len(rows)} results for {args.query!r}"]),
+        lambda: {"query": args.query, "results": rows},
+    )
 
 
 def cmd_pool(args) -> int:
@@ -163,79 +160,43 @@ def cmd_pool(args) -> int:
             raise DataError(f"--instances file not found: {instances}")
         config["instances"] = str(instances)
     res = load_resources(config, base_dir=Path(args.config).parent)
-    built, skipped = _per_instance(res.pool_for, res.instances)
-    pools = [pool for _, pool in built]
+    pools, skipped = res.pools()
     write_pools(pools, args.out)
     for inst_id, reason in skipped:
         print(f"skipped {inst_id}: {reason}", file=sys.stderr)
-    _emit(
+    return _emit(
         args,
         f"wrote {len(pools)} pools to {args.out} ({len(skipped)} skipped)",
-        {"pools": len(pools), "skipped": len(skipped), "out": str(args.out)},
+        lambda: {"pools": len(pools), "skipped": len(skipped), "out": str(args.out)},
     )
-    return 0
 
 
 def cmd_evaluate(args) -> int:
     csv_path = Path(args.out).with_suffix(".csv")
     if csv_path == Path(args.out):
         raise _UsageError(f"--out {args.out} is where the CSV report goes; give it another suffix")
-    truth = load_instances(args.truth)
-    if not truth:
-        raise DataError(f"{args.truth}: no instances given")
-    embedder = None
-    if args.embeddings:
-        embedder = table_embedder(load_embeddings(args.embeddings))
-
-    generated = dict(iter_generated(args.generated))
-    # Per instance, only its 13 metric values are kept, one column per metric.
-    columns = [array("d") for _ in METRIC_COLUMNS]
-    for inst in truth:
-        if inst.id not in generated:
-            raise DataError(
-                f"{args.truth}: instance id {inst.id!r} has no generated facets in {args.generated}"
-            )
-        try:
-            report = evaluate_instance(generated.pop(inst.id), list(inst.facets), embedder)
-        except DataError as exc:
-            raise DataError(f"{args.truth}: instance id {inst.id!r}: {exc}") from exc
-        for column, value in zip(columns, report.to_flat_dict().values()):
-            column.append(value)
-    mean = _mean_of_columns(columns)
-
-    def rows():
-        for i, inst in enumerate(truth):
-            yield inst.id, dict(zip(METRIC_COLUMNS, [column[i] for column in columns]))
-        yield "__mean__", mean.to_flat_dict()
-
-    atomic_write_text(
-        args.out,
-        (json.dumps({"instance_id": i, **flat}, sort_keys=True) + "\n" for i, flat in rows()),
-        (csv_path, _metric_csv_lines(("instance_id",), (((i,), f.values()) for i, f in rows()))),
-    )
-
-    flat = mean.to_flat_dict()
-    _emit(
+    report = evaluate_generated(args.generated, args.truth, args.embeddings)
+    atomic_write_text(args.out, report.jsonl_lines(), (csv_path, report.csv_lines()))
+    flat = report.mean.to_flat_dict()
+    return _emit(
         args,
-        f"evaluated {len(truth)} instances -> {args.out} "
+        f"evaluated {len(report.ids)} instances -> {args.out} "
         f"(exact_match_f1={flat['exact_match_f1']:.4f})",
-        {"evaluated": len(truth), "out": str(args.out), "mean": flat},
+        lambda: {"evaluated": len(report.ids), "out": str(args.out), "mean": flat},
     )
-    return 0
 
 
 def cmd_align_stats(args) -> int:
     res = load_resources(args.config)
     report = alignment_stats(res.instances, res.pool_for, corpus=res.corpus)
     atomic_write_json(args.out, report.to_dict())
-    _emit(
+    return _emit(
         args,
         f"alignment over {report.evaluated_count} instances: "
         f"term_overlap_recall={report.term_overlap_recall:.4f} "
         f"exact_match_recall={report.exact_match_recall:.4f} -> {args.out}",
-        report.to_dict(),
+        report.to_dict,
     )
-    return 0
 
 
 def cmd_loo(args) -> int:
@@ -255,14 +216,13 @@ def cmd_loo(args) -> int:
         query_embedder=res.query_embedder,
     )
     atomic_write_json(args.out, report.to_dict())
-    _emit(
+    return _emit(
         args,
         f"LOO ({args.metric}) over {report.evaluated_count} instances: "
         f"recall={report.recall:.4f} recall_loo={report.recall_loo:.4f} "
         f"delta={report.delta_pct:+.2f}% -> {args.out}",
-        report.to_dict(),
+        report.to_dict,
     )
-    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -284,52 +244,37 @@ def cmd_sweep(args) -> int:
         emit_question=res.emit_question,
         query_embedder=res.query_embedder,
     )
-    csv_text = "".join(
-        _metric_csv_lines(
-            ("n_evidence", "evaluated_count", "skipped_count"),
-            [
-                (
-                    (p.n_evidence, p.evaluated_count, p.skipped_count),
-                    p.report.to_flat_dict().values(),
-                )
-                for p in report.points
-            ],
-        )
-    )
-    atomic_write_text(args.out, csv_text)
-    _emit(
+    atomic_write_text(args.out, report.csv_lines())
+    return _emit(
         args,
         f"swept n={n_values} over {len(res.instances)} instances -> {args.out}",
-        report.to_dict(),
+        report.to_dict,
     )
-    return 0
 
 
 def cmd_taxonomy(args) -> int:
     instances = load_instances(args.instances)
     report = taxonomy_analysis(instances, top_k=args.top_k)
     atomic_write_json(args.out, report.to_dict())
-    _emit(
+    return _emit(
         args,
         f"top-{args.top_k} facet words cover {report.biased_fraction:.2%} "
         f"of {len(instances)} instances -> {args.out}",
-        report.to_dict(),
+        report.to_dict,
     )
-    return 0
 
 
 def cmd_experiment(args) -> int:
     res = load_resources(args.config)
     report = run_experiment(res, parallelism=args.parallelism)
     flat = report.mean.to_flat_dict()
-    _emit(
+    return _emit(
         args,
         f"experiment {report.config_hash[:12]}: {report.evaluated_count} evaluated, "
         f"{report.skipped_count} skipped, exact_match_f1={flat['exact_match_f1']:.4f} "
         f"-> {res.config['output_dir']}",
-        report.to_dict(),
+        report.to_dict,
     )
-    return 0
 
 
 def _load_report_rows(path: str) -> list[dict]:
@@ -347,14 +292,13 @@ def cmd_bootstrap(args) -> int:
         iterations=args.iters,
         seed=args.seed,
     )
-    _emit(
+    return _emit(
         args,
         f"mean diff (B-A) on {args.metric}: {result.mean_diff:+.6f} "
         f"[{result.ci_low:+.6f}, {result.ci_high:+.6f}] "
         f"({result.iterations} iterations, seed {result.seed})",
-        result.to_dict(),
+        result.to_dict,
     )
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,8 +2,8 @@
 
 Covers evidence/facet alignment statistics, leave-one-out faithfulness
 auditing, evidence-size sweeps, facet-taxonomy bias analysis, full
-pool-build/generate/evaluate experiment runs, and a paired bootstrap for
-comparing two runs.
+pool-build/generate/evaluate experiment runs, scoring a generated-facets
+file against ground truth, and a paired bootstrap for comparing two runs.
 
 Every report carries (evaluated_count, skipped_count, skip_reasons) so its
 means stay interpretable when individual instances fail, and all runners
@@ -20,6 +20,7 @@ import math
 import os
 import random
 import threading
+from array import array
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -33,6 +34,7 @@ from .corpus import (
     EmbeddingTable,
     _is_finite_number,
     _is_int,
+    iter_generated,
     load_corpus,
     load_embeddings,
     load_instances,
@@ -46,6 +48,7 @@ from .metrics import (
     METRIC_COLUMNS,
     Embedder,
     MetricReport,
+    _mean_of_columns,
     evaluate_instance,
     exact_match,
     mean_report,
@@ -71,6 +74,7 @@ __all__ = [
     "SweepReport",
     "TaxonomyReport",
     "ExperimentReport",
+    "EvaluationReport",
     "BootstrapResult",
     "alignment_stats",
     "loo_faithfulness",
@@ -79,6 +83,7 @@ __all__ = [
     "Resources",
     "load_resources",
     "run_experiment",
+    "evaluate_generated",
     "paired_bootstrap",
 ]
 
@@ -329,6 +334,12 @@ class SweepReport:
             "skip_reasons": [list(r) for r in self.skip_reasons],
         }
 
+    def csv_lines(self) -> Iterator[str]:
+        """The sweep CSV: per point its size and counts, then its metric means."""
+        head = ("n_evidence", "evaluated_count", "skipped_count")
+        rows = ({k: getattr(p, k) for k in head} | p.report.to_flat_dict() for p in self.points)
+        return _metric_csv_lines(head, rows)
+
 
 def evidence_size_sweep(
     instances: Sequence[ClarificationInstance],
@@ -520,6 +531,11 @@ class Resources:
             query_embedder=self.query_embedder,
         )
 
+    def pools(self) -> tuple[list[EvidencePool], list[tuple[str, str]]]:
+        """Every instance's pool in input order, and the ``(id, reason)`` of each skip."""
+        built, skips = _per_instance(self.pool_for, self.instances)
+        return [pool for _, pool in built], skips
+
 
 def load_resources(config: dict | str | Path, base_dir: Path | None = None) -> Resources:
     """Check every value of an experiment config (a dict, or a config file's
@@ -619,18 +635,16 @@ class _Echo:
         return line
 
 
-def _metric_csv_lines(
-    head: Sequence[str], rows: Iterable[tuple[Sequence, Iterable[float]]]
-) -> Iterator[str]:
+def _metric_csv_lines(head: Sequence[str], rows: Iterable[dict]) -> Iterator[str]:
     """Lines of a CSV with the ``head`` columns, then METRIC_COLUMNS at six decimals.
 
-    Each row is its ``head`` values and its metric values in METRIC_COLUMNS
-    order.  Lines are formatted as they are drawn.
+    Each row is a dict that holds every column.  Lines are formatted as they
+    are drawn.
     """
     writer = csv.writer(_Echo(), lineterminator="\n")
     yield writer.writerow([*head, *METRIC_COLUMNS])
-    for lead, values in rows:
-        yield writer.writerow([*lead, *[f"{value:.6f}" for value in values]])
+    for row in rows:
+        yield writer.writerow([*[row[k] for k in head], *[f"{row[c]:.6f}" for c in METRIC_COLUMNS]])
 
 
 def run_experiment(
@@ -693,19 +707,60 @@ def run_experiment(
     )
 
     report_json = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    summary_csv = "".join(
-        _metric_csv_lines(
-            ("config_hash", "evaluated_count", "skipped_count"),
-            [
-                (
-                    (report.config_hash, report.evaluated_count, report.skipped_count),
-                    report.mean.to_flat_dict().values(),
-                )
-            ],
-        )
-    )
-    atomic_write_text(out_dir / "report.json", report_json, (out_dir / "summary.csv", summary_csv))
+    head = ("config_hash", "evaluated_count", "skipped_count")
+    row = {k: getattr(report, k) for k in head} | report.mean.to_flat_dict()
+    summary = _metric_csv_lines(head, [row])
+    atomic_write_text(out_dir / "report.json", report_json, (out_dir / "summary.csv", summary))
     return report
+
+
+@dataclass(frozen=True)
+class EvaluationReport:
+    """Truth ids in input order, one ``array("d")`` of their values per
+    METRIC_COLUMNS entry, and the means; each row is formatted as it is drawn."""
+
+    ids: tuple[str, ...]
+    columns: tuple[array, ...]
+    mean: MetricReport
+
+    def rows(self) -> Iterator[dict]:
+        for i, inst_id in enumerate(self.ids):
+            yield {"instance_id": inst_id} | {c: v[i] for c, v in zip(METRIC_COLUMNS, self.columns)}
+        yield {"instance_id": "__mean__"} | self.mean.to_flat_dict()
+
+    def jsonl_lines(self) -> Iterator[str]:
+        return (json.dumps(row, sort_keys=True) + "\n" for row in self.rows())
+
+    def csv_lines(self) -> Iterator[str]:
+        return _metric_csv_lines(("instance_id",), self.rows())
+
+
+def evaluate_generated(
+    generated: str | Path, truth: str | Path, embeddings: str | Path | None = None
+) -> EvaluationReport:
+    """Score every truth instance, in order, against the generated facets of
+    its id; it reads truth, then embeddings, then the whole generated file.
+    Nothing is skipped: an instance that cannot be scored raises DataError.
+    """
+    instances = load_instances(truth)
+    if not instances:
+        raise DataError(f"{truth}: no instances given")
+    embedder = table_embedder(load_embeddings(embeddings)) if embeddings else None
+    facets = dict(iter_generated(generated))
+    columns = tuple(array("d") for _ in METRIC_COLUMNS)
+    for inst in instances:
+        if inst.id not in facets:
+            raise DataError(
+                f"{truth}: instance id {inst.id!r} has no generated facets in {generated}"
+            )
+        try:
+            report = evaluate_instance(facets.pop(inst.id), list(inst.facets), embedder)
+        except DataError as exc:
+            raise DataError(f"{truth}: instance id {inst.id!r}: {exc}") from exc
+        for column, value in zip(columns, report.to_flat_dict().values()):
+            column.append(value)
+    ids = tuple(inst.id for inst in instances)
+    return EvaluationReport(ids, columns, _mean_of_columns(columns))
 
 
 @dataclass(frozen=True)

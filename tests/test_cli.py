@@ -1,6 +1,7 @@
 """CLI: subcommand wiring, exit codes, atomic output, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import random
@@ -542,6 +543,124 @@ class TestEvaluate:
         assert rows[0]["exact_match_recall"] == pytest.approx(2 / 3)
 
 
+# Words that normalize to one or two tokens, never to nothing.
+_FACET_WORDS = ["red", "Green", "apple,", "pear", "big-small", "tree"]
+_FACET = st.lists(st.sampled_from(_FACET_WORDS), min_size=1, max_size=3).map(" ".join)
+_FACET_LIST = st.lists(_FACET, min_size=1, max_size=4)
+_LIST_PAIRS = st.lists(st.tuples(_FACET_LIST, _FACET_LIST), min_size=1, max_size=6)
+
+
+def _evaluate_rows(root, generated, truth, name):
+    """Rows of `clarikit evaluate` over (id, facets) lists, as JSONL text lines."""
+    gen_path, truth_path = root / f"{name}-generated.jsonl", root / f"{name}-truth.jsonl"
+    write_jsonl(gen_path, [{"id": i, "facets": f} for i, f in generated])
+    write_jsonl(truth_path, [{"id": i, "query": "q", "facets": f} for i, f in truth])
+    out = root / f"{name}.jsonl"
+    argv = ["evaluate", "--generated", str(gen_path), "--truth", str(truth_path)]
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8").splitlines()
+
+
+class TestEvaluateInvariants:
+    """Metamorphic properties of `clarikit evaluate`: no oracle, exact equality."""
+
+    examples = settings(
+        deadline=None, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+
+    @examples
+    @given(pairs=_LIST_PAIRS)
+    def test_swapping_files_swaps_precision_and_recall(self, tmp_path, capsys, pairs):
+        a = [(f"q{i}", first) for i, (first, _) in enumerate(pairs)]
+        b = [(f"q{i}", second) for i, (_, second) in enumerate(pairs)]
+        with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+            forward = _evaluate_rows(Path(root), a, b, "forward")
+            backward = _evaluate_rows(Path(root), b, a, "backward")
+        capsys.readouterr()
+        assert len(forward) == len(backward) == len(pairs) + 1
+        for fwd, bwd in zip(map(json.loads, forward), map(json.loads, backward)):
+            assert fwd["instance_id"] == bwd["instance_id"]
+            for metric in ("term_overlap", "exact_match"):
+                assert fwd[f"{metric}_precision"] == bwd[f"{metric}_recall"]
+                assert fwd[f"{metric}_recall"] == bwd[f"{metric}_precision"]
+                assert fwd[f"{metric}_f1"] == bwd[f"{metric}_f1"]
+
+    @examples
+    @given(data=st.data(), pairs=_LIST_PAIRS)
+    def test_permuting_truth_permutes_rows_and_keeps_the_mean(self, tmp_path, capsys, data, pairs):
+        generated = [(f"q{i}", first) for i, (first, _) in enumerate(pairs)]
+        truth = [(f"q{i}", second) for i, (_, second) in enumerate(pairs)]
+        order = data.draw(st.permutations(range(len(truth))))
+        with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+            rows = _evaluate_rows(Path(root), generated, truth, "given")
+            permuted = _evaluate_rows(Path(root), generated, [truth[i] for i in order], "permuted")
+        capsys.readouterr()
+        # Rows compare as text, so every float is the same to the bit.
+        assert permuted[:-1] == [rows[i] for i in order]
+        assert permuted[-1] == rows[-1]
+        assert json.loads(rows[-1])["instance_id"] == "__mean__"
+
+
+def _write_planted(root: Path) -> list:
+    corpus, instances = make_planted(6)
+    write_jsonl(root / "corpus.jsonl", [{"id": d.id, "text": d.text} for d in corpus.docs])
+    write_jsonl(
+        root / "instances.jsonl",
+        [{"id": i.id, "query": i.query, "facets": list(i.facets)} for i in instances],
+    )
+    return instances
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the planted-fixture outputs that TestGoldenOutputs pins.
+REPORT_SHA256 = "7385736a910a0b48bf0f350775e3ffbd93b5e411ed5692937240fadad07cec19"
+SUMMARY_SHA256 = "758c7e888c8b3bb9dadebd4501a333abae032d190373dad366ead115e3aed1de"
+EVALUATE_JSONL_SHA256 = "d94c1e7570e534cae1558c870bcce181c400bc42c2e3555a570deb452ed4ce4a"
+EVALUATE_CSV_SHA256 = "6b57a9c1737b95958bfef843c43c65827c8e0680c0c3ed846b5c88505ae0b668"
+
+
+class TestGoldenOutputs:
+    """The sha256 of outputs on the planted fixture, pinned on every platform
+    the tests run on.  Neither run takes a dot product, so no BLAS build can
+    move a bit."""
+
+    def test_experiment_report_and_summary(self, tmp_path, monkeypatch, capsys):
+        _write_planted(tmp_path)
+        config = {
+            "corpus": "corpus.jsonl",
+            "instances": "instances.jsonl",
+            "retrieval": {"mode": "lexical", "alignment": "facet_aligned", "k": 5},
+            "generator": {"kind": "extractive", "max_facets": 5},
+            "set_sim": "indicator",
+            "seed": 11,
+            "output_dir": "out",
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        # output_dir resolves against the working directory, so config_hash
+        # holds no absolute path.
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "--config", "config.json"]) == 0
+        assert _sha256(tmp_path / "out" / "report.json") == REPORT_SHA256
+        assert _sha256(tmp_path / "out" / "summary.csv") == SUMMARY_SHA256
+
+    def test_evaluate_jsonl_and_csv(self, tmp_path, capsys):
+        instances = _write_planted(tmp_path)
+        # Per instance: one exact facet, one that shares a word, one unrelated.
+        generated = [
+            (inst.id, [inst.facets[0], f"{inst.query} {inst.facets[1].split()[0]}", "other"])
+            for inst in instances
+        ]
+        write_jsonl(tmp_path / "generated.jsonl", [{"id": i, "facets": f} for i, f in generated])
+        out = tmp_path / "scores.jsonl"
+        argv = ["evaluate", "--generated", str(tmp_path / "generated.jsonl")]
+        assert main([*argv, "--truth", str(tmp_path / "instances.jsonl"), "--out", str(out)]) == 0
+        assert _sha256(out) == EVALUATE_JSONL_SHA256
+        assert _sha256(out.with_suffix(".csv")) == EVALUATE_CSV_SHA256
+
+
 class TestHarnessCommands:
     def test_align_stats(self, data, tmp_path, capsys):
         out = tmp_path / "align.json"
@@ -921,6 +1040,41 @@ DEEP_CASES = {
         "bootstrap", "--a", "{deep_json}", "--b", "{deep_json}", "--metric", "exact_match_f1"
     ],
 }
+
+
+class TestJsonPayload:
+    """A command builds its --json payload only when --json asks for it."""
+
+    # Command -> (its report type in harness, its arguments, the to_dict
+    # calls that writing its files takes).
+    COMMANDS = {
+        "experiment": ("ExperimentReport", ["--config", "{config}"], 1),
+        "loo": ("LooReport", ["--config", "{config}", "--seed", "3", "--out", "{out}"], 1),
+        "align-stats": ("AlignmentReport", ["--config", "{config}", "--out", "{out}"], 1),
+        "sweep": ("SweepReport", ["--config", "{config}", "--n", "1,3", "--out", "{out}"], 0),
+        "taxonomy": ("TaxonomyReport", ["--instances", "{instances}", "--out", "{out}"], 1),
+    }
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_to_dict_calls(self, data, tmp_path, capsys, monkeypatch, command, as_json):
+        from clarikit import harness
+
+        name, argv, writes = self.COMMANDS[command]
+        report_type = getattr(harness, name)
+        to_dict, calls = report_type.to_dict, []
+
+        def counted(report):
+            calls.append(command)
+            return to_dict(report)
+
+        monkeypatch.setattr(report_type, "to_dict", counted)
+        paths = {"config": data["config"], "instances": data["instances"], "out": tmp_path / "r"}
+        argv = [command, *(arg.format(**paths) for arg in argv)] + ["--json"] * as_json
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == writes + as_json
+        assert out.startswith("{") == as_json
 
 
 class TestDeeplyNestedJson:

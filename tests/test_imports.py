@@ -1,7 +1,7 @@
 """Imports: every name a clarikit module or test file imports is read
-somewhere in that file, every name a module lists in ``__all__`` exists,
-offline runs never load the HTTP client, and only a run that hashes its
-config loads hashlib.
+somewhere in that file, the CLI imports no private name, every name a
+module lists in ``__all__`` exists, offline runs never load the HTTP
+client, and only a run that hashes its config loads hashlib.
 
 ``__init__.py`` re-exports its imports and ``from __future__`` imports are
 compiler directives, so neither counts.  A name read only inside a string
@@ -71,6 +71,19 @@ def test_no_unused_imports(module):
     read = read_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in read}
     assert not unused, f"{module}: imported but never read: {unused}"
+
+
+def test_the_cli_imports_no_private_name():
+    # The CLI reaches the library through its public names only.
+    tree = ast.parse(SOURCES["cli.py"].read_text(encoding="utf-8"), filename="cli.py")
+    private = [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("clarikit"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"cli.py imports private names: {private}"
 
 
 @pytest.mark.parametrize("module", MODULES)
