@@ -13,13 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import retrieval
 from .corpus import load_corpus, load_instances, read_json_object
 from .errors import DataError, GeneratorError
 from .harness import (
+    Resources,
     alignment_stats,
     evaluate_generated,
     evidence_size_sweep,
@@ -136,6 +138,18 @@ def _emit(args, human: str, payload: Callable[[], dict]) -> int:
     return 0
 
 
+@contextmanager
+def _naming_instances(res: Resources) -> Iterator[None]:
+    """Name the instances file in the data error of a run over none of its
+    lines; every other error passes unchanged, at the point it is raised."""
+    try:
+        yield
+    except DataError as exc:
+        if res.instances:
+            raise
+        raise DataError(f"{res.paths['instances']}: {exc}") from None
+
+
 def cmd_retrieve(args) -> int:
     index = build_inverted_index(load_corpus(args.corpus))
     results = retrieval.bm25_retrieve(index, args.query, args.k, k1=args.k1, b=args.b)
@@ -160,7 +174,8 @@ def cmd_pool(args) -> int:
             raise DataError(f"--instances file not found: {instances}")
         config["instances"] = str(instances)
     res = load_resources(config, base_dir=Path(args.config).parent)
-    pools, skipped = res.pools()
+    with _naming_instances(res):
+        pools, skipped = res.pools()
     write_pools(pools, args.out)
     for inst_id, reason in skipped:
         print(f"skipped {inst_id}: {reason}", file=sys.stderr)
@@ -188,7 +203,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_align_stats(args) -> int:
     res = load_resources(args.config)
-    report = alignment_stats(res.instances, res.pool_for, corpus=res.corpus)
+    with _naming_instances(res):
+        report = alignment_stats(res.instances, res.pool_for, corpus=res.corpus)
     atomic_write_json(args.out, report.to_dict())
     return _emit(
         args,
@@ -201,20 +217,21 @@ def cmd_align_stats(args) -> int:
 
 def cmd_loo(args) -> int:
     res = load_resources(args.config)
-    report = loo_faithfulness(
-        res.instances,
-        res.generator,
-        res.retrieval,
-        corpus=res.corpus,
-        index=res.index,
-        table=res.doc_table,
-        seed=args.seed,
-        metric_kind=args.metric,
-        max_facets=res.max_facets,
-        emit_question=res.emit_question,
-        sole_provenance_only=args.sole_provenance,
-        query_embedder=res.query_embedder,
-    )
+    with _naming_instances(res):
+        report = loo_faithfulness(
+            res.instances,
+            res.generator,
+            res.retrieval,
+            corpus=res.corpus,
+            index=res.index,
+            table=res.doc_table,
+            seed=args.seed,
+            metric_kind=args.metric,
+            max_facets=res.max_facets,
+            emit_question=res.emit_question,
+            sole_provenance_only=args.sole_provenance,
+            query_embedder=res.query_embedder,
+        )
     atomic_write_json(args.out, report.to_dict())
     return _emit(
         args,
@@ -231,19 +248,20 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"--n must be comma-separated integers: {exc}")
     res = load_resources(args.config)
-    report = evidence_size_sweep(
-        res.instances,
-        res.generator,
-        res.retrieval,
-        n_values,
-        corpus=res.corpus,
-        index=res.index,
-        table=res.doc_table,
-        embedder=res.set_sim_embedder,
-        max_facets=res.max_facets,
-        emit_question=res.emit_question,
-        query_embedder=res.query_embedder,
-    )
+    with _naming_instances(res):
+        report = evidence_size_sweep(
+            res.instances,
+            res.generator,
+            res.retrieval,
+            n_values,
+            corpus=res.corpus,
+            index=res.index,
+            table=res.doc_table,
+            embedder=res.set_sim_embedder,
+            max_facets=res.max_facets,
+            emit_question=res.emit_question,
+            query_embedder=res.query_embedder,
+        )
     atomic_write_text(args.out, report.csv_lines())
     return _emit(
         args,
@@ -266,7 +284,8 @@ def cmd_taxonomy(args) -> int:
 
 def cmd_experiment(args) -> int:
     res = load_resources(args.config)
-    report = run_experiment(res, parallelism=args.parallelism)
+    with _naming_instances(res):
+        report = run_experiment(res, parallelism=args.parallelism)
     flat = report.mean.to_flat_dict()
     return _emit(
         args,

@@ -164,6 +164,60 @@ class _TermIds(dict):
         return term_id
 
 
+# The build's temporaries are one block of documents' ordinals and one chunk
+# of sorted keys' run starts at a time: about 125 KB at 60 tokens a document.
+_ORDINAL_BLOCK = 512  # documents
+_RUN_CHUNK = 8192  # keys
+
+
+def _add_ordinals(keys: np.ndarray, doc_lengths: np.ndarray) -> None:
+    """Add to each token's key the ordinal of its document, a block at a time."""
+    lo = 0
+    for d0 in range(0, len(doc_lengths), _ORDINAL_BLOCK):
+        block = doc_lengths[d0 : d0 + _ORDINAL_BLOCK]
+        hi = lo + int(block.sum())
+        keys[lo:hi] += np.repeat(np.arange(d0, d0 + len(block), dtype=np.int32), block)
+        lo = hi
+
+
+def _is_run_start(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Which of ``keys[lo:hi]`` start a run of equal sorted keys."""
+    chunk = keys[lo:hi]
+    is_start = np.empty(len(chunk), dtype=bool)
+    is_start[0] = lo == 0 or keys[lo] != keys[lo - 1]
+    np.not_equal(chunk[1:], chunk[:-1], out=is_start[1:])
+    return is_start
+
+
+def _compact_runs(keys: np.ndarray) -> np.ndarray:
+    """Move the first key of each run to the front of the sorted ``keys``,
+    in order, and return the length of each run.
+
+    A first pass counts the runs, so the lengths are allocated once.  The
+    second writes each chunk's run starts into them, and its starting keys
+    to the front: to positions below the chunk, and where it writes over a
+    key the next chunk compares with, it writes that key's own value.  An
+    in-place difference then turns the starts into lengths.
+    """
+    n = len(keys)
+    chunks = [(lo, min(lo + _RUN_CHUNK, n)) for lo in range(0, n, _RUN_CHUNK)]
+    n_runs = sum(np.count_nonzero(_is_run_start(keys, lo, hi)) for lo, hi in chunks)
+    tfs = np.empty(n_runs, dtype=np.int32)
+    n_runs = 0
+    for lo, hi in chunks:
+        starts = np.flatnonzero(_is_run_start(keys, lo, hi))
+        m = len(starts)
+        keys[n_runs : n_runs + m] = keys[lo:hi][starts]
+        starts += lo
+        tfs[n_runs : n_runs + m] = starts
+        n_runs += m
+    for lo in range(0, n_runs - 1, _RUN_CHUNK):
+        hi = min(lo + _RUN_CHUNK, n_runs - 1)
+        np.subtract(tfs[lo + 1 : hi + 1], tfs[lo:hi], out=tfs[lo:hi])
+    tfs[-1:] = n - tfs[-1:]
+    return tfs
+
+
 def build_inverted_index(corpus: Corpus) -> InvertedIndex:
     """Index ``corpus``; term ids are given in first-seen token order.
 
@@ -171,6 +225,10 @@ def build_inverted_index(corpus: Corpus) -> InvertedIndex:
     the keys are grouped by term, then by document, and each run of equal
     keys is one posting whose length is its tf.  Equal keys are
     indistinguishable, so the result does not depend on the sort algorithm.
+
+    Int32 keys are made, sorted and compacted inside the buffer of the token
+    stream, which ends up holding the postings' ordinals; so at its peak the
+    build holds little more than the stream, the tfs and what it keeps.
     """
     if len(corpus) == 0:
         raise DataError("cannot index an empty corpus")
@@ -183,28 +241,25 @@ def build_inverted_index(corpus: Corpus) -> InvertedIndex:
         stream.extend(map(term_ids.__getitem__, tokens))
     n_docs, n_tokens, n_terms = len(lengths), len(stream), len(term_ids)
     doc_lengths = np.array(lengths, dtype=np.int64)
+    ids = np.frombuffer(stream, dtype=np.int32)  # a writable view of the stream
     # Every key is below n_terms * n_docs: int32 holds them below 2**31.
-    key_type = np.int32 if n_terms * n_docs < 2**31 else np.int64
-    keys = np.multiply(np.frombuffer(stream, dtype=np.int32), n_docs, dtype=key_type)
-    del stream
-    keys += np.repeat(np.arange(n_docs, dtype=np.int32), doc_lengths)
+    if n_terms * n_docs < 2**31:
+        keys = ids
+        keys *= n_docs
+    else:
+        keys = np.multiply(ids, n_docs, dtype=np.int64)
+    _add_ordinals(keys, doc_lengths)
     keys.sort()
-    run_start = np.empty(n_tokens, dtype=bool)
-    run_start[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    keys = keys[run_start]
-    first = np.flatnonzero(run_start)
-    del run_start
-    tfs = np.empty(len(first), dtype=np.int32)
-    np.subtract(first[1:], first[:-1], out=tfs[:-1], casting="unsafe")
-    tfs[-1:] = n_tokens - first[-1:]
-    del first
-    ordinals = np.empty(len(keys), dtype=np.int32)
-    np.remainder(keys, n_docs, out=ordinals, casting="unsafe")
-    keys //= n_docs
-    # Term t's postings start at the first key at or above it.
-    offsets = np.searchsorted(keys, np.arange(n_terms + 1, dtype=key_type))
-    del keys
+    tfs = _compact_runs(keys)
+    n_postings = len(tfs)
+    # Term t's postings start at the first key at or above the probe t * n_docs.
+    probes = np.arange(n_terms + 1, dtype=keys.dtype)
+    probes *= n_docs
+    offsets = np.searchsorted(keys[:n_postings], probes)
+    np.remainder(keys[:n_postings], n_docs, out=ids[:n_postings], casting="unsafe")
+    del keys, ids, probes
+    del stream[n_postings:]  # no view of the buffer is left, so it may shrink
+    ordinals = np.frombuffer(stream, dtype=np.int32)
     return InvertedIndex(
         term_ids=dict(term_ids),  # a plain dict: looking up an unknown term inserts nothing
         offsets=offsets,

@@ -601,6 +601,62 @@ class TestEvaluateInvariants:
         assert json.loads(rows[-1])["instance_id"] == "__mean__"
 
 
+_POOL_WORDS = ("ant", "bee", "cat", "dog", "eel", "fox")
+_phrases = st.lists(st.sampled_from(_POOL_WORDS), min_size=1, max_size=2).map(" ".join)
+_POOL_INPUTS = st.tuples(
+    # Document texts; many share terms, tfs and lengths, so scores tie.
+    st.lists(
+        st.lists(st.sampled_from(_POOL_WORDS), min_size=1, max_size=6).map(" ".join),
+        min_size=1,
+        max_size=10,
+    ),
+    # Instances as (query, facets).
+    st.lists(
+        st.tuples(_phrases, st.lists(_phrases, min_size=1, max_size=3)), min_size=1, max_size=3
+    ),
+    st.sampled_from(["query_only", "facet_aligned"]),
+    st.integers(1, 5),
+)
+
+
+class TestPoolInvariants:
+    """Metamorphic properties of `clarikit pool`."""
+
+    @settings(
+        deadline=None, max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data(), inputs=_POOL_INPUTS)
+    def test_corpus_order_cannot_move_a_bm25_pool(self, tmp_path, capsys, data, inputs):
+        # Term ids follow first-seen order, but BM25 depends on no term id
+        # and ties break on doc id, so permuting corpus lines moves nothing.
+        texts, instances, alignment, k = inputs
+        docs = [{"id": f"d{i}", "text": text} for i, text in enumerate(texts)]
+        order = data.draw(st.permutations(range(len(docs))))
+        with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+            root = Path(root)
+            write_jsonl(
+                root / "instances.jsonl",
+                [{"id": f"i{i}", "query": q, "facets": f} for i, (q, f) in enumerate(instances)],
+            )
+            config = {
+                "corpus": "corpus.jsonl",
+                "instances": "instances.jsonl",
+                "retrieval": {"mode": "lexical", "alignment": alignment, "k": k},
+                "generator": {"kind": "extractive"},
+                "seed": 1,
+                "output_dir": str(root / "out"),
+            }
+            (root / "config.json").write_text(json.dumps(config))
+            out, pools = str(root / "pools.jsonl"), []
+            for rows in (docs, [docs[i] for i in order]):
+                write_jsonl(root / "corpus.jsonl", rows)
+                assert main(["pool", "--config", str(root / "config.json"), "--out", out]) == 0
+                pools.append(Path(out).read_bytes())
+        capsys.readouterr()
+        assert pools[0] == pools[1]
+        assert pools[0].count(b"\n") == len(instances)
+
+
 def _write_planted(root: Path) -> list:
     corpus, instances = make_planted(6)
     write_jsonl(root / "corpus.jsonl", [{"id": d.id, "text": d.text} for d in corpus.docs])
@@ -935,7 +991,7 @@ class TestExperimentAndBootstrap:
     def test_no_instances_exits_2_writing_nothing(self, data, tmp_path, capsys):
         (tmp_path / "empty.jsonl").write_text("")
         line = self._run_failing(data, tmp_path, capsys, 2, instances=str(tmp_path / "empty.jsonl"))
-        assert line == "data error: no instances given"
+        assert line == f"data error: {tmp_path / 'empty.jsonl'}: no instances given"
 
     @pytest.mark.parametrize(
         "argv",
@@ -1318,19 +1374,51 @@ ERROR_PATHS = {
         _config(instances="empty"),
         ["loo", "--config", "{bad}", "--seed", "1", "--out", "{out}"],
         2,
-        "data error: no instances given",
+        "data error: {tmp}/empty: no instances given",
     ),
     "sweep-no-instances": (
         _config(instances="empty"),
         ["sweep", "--config", "{bad}", "--n", "1,2", "--out", "{out}"],
         2,
-        "data error: no instances given",
+        "data error: {tmp}/empty: no instances given",
     ),
     "pool-no-instances": (
         _config(instances="empty"),
         ["pool", "--config", "{bad}", "--out", "{out}"],
         2,
-        "data error: no instances given",
+        "data error: {tmp}/empty: no instances given",
+    ),
+    "align-stats-no-instances": (
+        _config(instances="empty"),
+        ["align-stats", "--config", "{bad}", "--out", "{out}"],
+        2,
+        "data error: {tmp}/empty: no instances given",
+    ),
+    # The override is named as clarikit resolved it: absolute.
+    "pool-instances-override-no-instances": (
+        "",
+        ["pool", "--config", "{config}", "--instances", "{bad}", "--out", "{out}"],
+        2,
+        "data error: {bad}: no instances given",
+    ),
+    # A fault found before the first instance still comes first.
+    "loo-query-only-no-instances": (
+        lambda config: json.dumps(
+            {
+                **config,
+                "instances": "empty",
+                "retrieval": {**config["retrieval"], "alignment": "query_only"},
+            }
+        ),
+        ["loo", "--config", "{bad}", "--seed", "1", "--out", "{out}"],
+        2,
+        "data error: leave-one-out requires a facet_aligned pool config",
+    ),
+    "sweep-bad-n-no-instances": (
+        _config(instances="empty"),
+        ["sweep", "--config", "{bad}", "--n", "2,1", "--out", "{out}"],
+        2,
+        "data error: n_values must be strictly increasing positive integers",
     ),
     "evaluate-no-truth-instances": (
         "",

@@ -31,7 +31,7 @@ from clarikit.retrieval import (
     resolve_texts,
     tfidf_similarity,
 )
-from clarikit.retrieval import _BM25_K1_MAX, _transpose
+from clarikit.retrieval import _BM25_K1_MAX, _ORDINAL_BLOCK, _RUN_CHUNK, _transpose
 
 
 def round_robin_oracle(lists, max_items):
@@ -178,6 +178,19 @@ small_corpora = st.integers(3, 5).flatmap(
 )
 
 
+def assert_same_index(index: InvertedIndex, expected: InvertedIndex) -> None:
+    """Same term ids in order, and every array the same bytes, dtype and shape."""
+    assert type(index.term_ids) is dict
+    assert list(index.term_ids.items()) == list(expected.term_ids.items())
+    for name in ("offsets", "ordinals", "tfs", "doc_lengths"):
+        got, want = getattr(index, name), getattr(expected, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+    assert index.avg_doc_len == expected.avg_doc_len
+    assert index.doc_ids == expected.doc_ids
+
+
 def corpus_of(texts: dict[str, str]) -> Corpus:
     return Corpus.from_docs([Document(i, t) for i, t in texts.items()])
 
@@ -309,6 +322,72 @@ class TestInvertedIndex:
         _, forward_bytes = transient_bytes(lambda: index.forward)
         assert build_bytes / lengths.sum() < 10
         assert forward_bytes / len(index.ordinals) < 8
+
+    def test_in_place_build_stays_within_its_footprint_across_blocks(self):
+        # The Zipf corpus above: 118,510 tokens in 2,000 documents, so many
+        # ordinal blocks and run-start chunks.
+        rng = np.random.default_rng(3)
+        words = np.array([f"w{r}" for r in range(10_000)])
+        lengths = rng.integers(20, 101, size=2_000)
+        p = 1.0 / np.arange(1, len(words) + 1)
+        tokens = iter(words[rng.choice(len(words), int(lengths.sum()), p=p / p.sum())].tolist())
+        corpus = corpus_of({f"d{i}": " ".join(islice(tokens, n)) for i, n in enumerate(lengths)})
+        assert lengths.sum() > 10 * _RUN_CHUNK and len(lengths) > 3 * _ORDINAL_BLOCK
+
+        tracemalloc.start()
+        try:
+            index = build_inverted_index(corpus)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Keys built in the token stream's buffer leave the stream (4 B a
+        # token, shrunk to the ordinals at the end) as the largest transient;
+        # separate keys and int64 run starts cost about 6 B a token.
+        assert (peak - kept) / lengths.sum() < 4
+        assert_same_index(index, index_oracle(corpus))
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [3] * (_ORDINAL_BLOCK - 1),
+            [3] * _ORDINAL_BLOCK,
+            [3] * (_ORDINAL_BLOCK + 1),
+            # Zero-token documents first and last in each of two blocks.
+            [
+                0 if i in (0, _ORDINAL_BLOCK - 1, _ORDINAL_BLOCK, 2 * _ORDINAL_BLOCK - 1) else 3
+                for i in range(2 * _ORDINAL_BLOCK)
+            ],
+            [_RUN_CHUNK // 2] * 4,  # the tokens end on a chunk boundary
+            [_RUN_CHUNK // 2] * 4 + [1],  # and one token past it
+            # Sorted, the keys are "w0" x2, "w" x(n - 2), "x" x2: the second
+            # chunk holds no run start, and the "x" run starts where it ends.
+            [2, 2 * _RUN_CHUNK, 0],
+            [2, _RUN_CHUNK - 1],  # the "x" run starts at a chunk's last key
+        ],
+        ids=[
+            "block-1",
+            "block",
+            "block+1",
+            "blank-block-ends",
+            "tokens-end-on-chunk",
+            "one-token-past-chunk",
+            "run-over-chunk",
+            "run-into-chunk",
+        ],
+    )
+    def test_block_and_chunk_edges_match_the_oracle(self, lengths):
+        def text(i: int, n: int) -> str:
+            if n == 0:
+                return "?!"  # no token
+            if n >= _RUN_CHUNK - 1:
+                return " ".join(["w"] * (n - 2) + ["x", "x"])
+            # Each word twice in a row, so most postings have tf 2 or more.
+            return " ".join(f"w{(i * 7 + j // 2) % 11}" for j in range(n))
+
+        corpus = corpus_of({f"d{i}": text(i, n) for i, n in enumerate(lengths)})
+        index = build_inverted_index(corpus)
+        assert index.doc_lengths.tolist() == lengths
+        assert_same_index(index, index_oracle(corpus))
 
     def test_shared_term_two_entries(self):
         index = build_inverted_index(corpus_of({"d1": "x y", "d2": "x z"}))
