@@ -272,6 +272,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_taxonomy(args) -> int:
     instances = load_instances(args.instances)
+    if not instances:
+        raise DataError(f"{args.instances}: no instances given")
     report = taxonomy_analysis(instances, top_k=args.top_k)
     atomic_write_json(args.out, report.to_dict())
     return _emit(

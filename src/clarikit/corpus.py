@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,15 +86,23 @@ class Document:
     text: str
 
 
-def _check_document(doc: Document, seen: set[str]) -> None:
-    """The document contract: a non-empty, unique id and non-blank text."""
-    if not doc.id:
-        raise DataError("empty document id")
-    if doc.id in seen:
-        raise DataError(f"duplicate document id {doc.id!r}")
-    if not doc.text.strip():
-        raise DataError(f"document {doc.id!r} has empty text")
-    seen.add(doc.id)
+def _check_document(fields: dict, seen: set[str]) -> None:
+    """The document contract: a string ``id`` that is non-empty and not in
+    ``seen``, and a string ``text`` that is not blank; the id joins ``seen``."""
+    doc_id, text = fields.get("id"), fields.get("text")
+    ok = isinstance(doc_id, str) and isinstance(text, str) and doc_id and doc_id not in seen
+    if not (ok and text.strip()):  # the document breaks the contract: name its first fault
+        for field in ("id", "text"):
+            if field not in fields:
+                raise DataError(f"missing field {field!r}")
+            if not isinstance(fields[field], str):
+                raise DataError(f"field {field!r} must be a string")
+        if not doc_id:
+            raise DataError("empty document id")
+        if doc_id in seen:
+            raise DataError(f"duplicate document id {doc_id!r}")
+        raise DataError(f"document {doc_id!r} has empty text")
+    seen.add(doc_id)
 
 
 @dataclass(frozen=True)
@@ -105,9 +113,11 @@ class Corpus:
 
     @classmethod
     def from_docs(cls, docs: list[Document] | tuple[Document, ...]) -> "Corpus":
+        """A corpus of ``docs`` in order; each passes the document contract
+        (see :func:`_check_document`), or :class:`DataError` is raised."""
         seen: set[str] = set()
         for doc in docs:
-            _check_document(doc, seen)
+            _check_document(vars(doc), seen)
         return cls(docs=tuple(docs))
 
     @cached_property
@@ -149,41 +159,70 @@ def _is_finite_number(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-def _check_vector(key: str, value: object, dim: int | None) -> np.ndarray:
-    """The embedding contract: a flat list or array of numbers (bools count)
-    that is non-empty, finite and of the table's dimension.
+def _check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
+    """The count rule: an integer, never a bool, at least ``low`` and at most ``high``."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
 
-    Loaded rows, ``from_dict`` values and dense query vectors all pass it.
-    A flat list of bools, ints or floats becomes one numpy array, so its
-    components are checked and converted in C; a list that numpy cannot
-    type that way (nested or ragged lists, strings, nulls, integers beyond
-    64 bits) is checked item by item.
+
+def _check_vectors(
+    rows: Sequence[tuple[str, object]],
+    dim: int | None,
+    where: Callable[[int], str] = lambda i: "",
+) -> np.ndarray:
+    """The embedding contract for a non-empty list of (key, vector) rows:
+    each vector is a flat list or array of numbers (bools count), non-empty,
+    finite and ``dim`` wide (the first row's width if None).  Returns them as
+    one float64 matrix; loaded blocks, ``from_dict`` and a dense query pass it.
+
+    One ``np.array`` built without a dtype, so strings and nulls do not
+    pass, checks every row in C.  If that fails, the rows are diagnosed in
+    order, each typed by numpy alone or, when numpy cannot type a list of
+    numbers (integers beyond 64 bits), item by item.  The first bad row i
+    raises :class:`DataError`, prefixed with ``where(i)``.
     """
-    array = value
-    if isinstance(value, (list, tuple)):
+
+    def numeric(values: list) -> np.ndarray | None:
         try:
-            array = np.asarray(value)
+            matrix = np.array(values)
         except (ValueError, TypeError, OverflowError):
-            array = None
-    if not isinstance(array, np.ndarray) or array.ndim != 1 or array.dtype.kind not in "biuf":
-        if not isinstance(value, (list, tuple)) or not all(
-            isinstance(x, (int, float)) for x in value
-        ):
-            raise DataError("'vector' must be a list of numbers")
-        array = value
-    try:
-        vec = np.asarray(array, dtype=np.float64)
-    except OverflowError:  # a JSON integer beyond float range
-        raise DataError(f"embedding for {key!r} holds a number beyond float range") from None
-    if vec.shape[0] == 0:
-        raise DataError(f"embedding for {key!r} is empty")
-    if dim is not None and vec.shape[0] != dim:
-        raise DataError(
-            f"embedding for {key!r} has {vec.shape[0]} components, expected {dim}"
-        )
-    if not np.all(np.isfinite(vec)):
-        raise DataError(f"embedding for {key!r} contains a non-finite value")
-    return vec
+            return None
+        ok = matrix.dtype.kind in "biuf" and matrix.ndim == 2
+        return matrix.astype(np.float64, copy=False) if ok else None
+
+    matrix = numeric([value for _, value in rows])
+    if matrix is not None and 0 != matrix.shape[1] == (dim or matrix.shape[1]):
+        if np.isfinite(matrix).all():
+            return matrix
+    vectors = []
+    for i, (key, value) in enumerate(rows):
+        vec = numeric([value])
+        if vec is None and isinstance(value, (list, tuple)):
+            if all(isinstance(x, (int, float)) for x in value):
+                try:
+                    vec = np.array([value], dtype=np.float64)
+                except OverflowError:  # a JSON integer beyond float range
+                    raise DataError(
+                        f"{where(i)}embedding for {key!r} holds a number beyond float range"
+                    ) from None
+        if vec is None:
+            fault = "'vector' must be a list of numbers"
+        elif vec.shape[1] == 0:
+            fault = f"embedding for {key!r} is empty"
+        elif vec.shape[1] != (dim or vec.shape[1]):
+            fault = f"embedding for {key!r} has {vec.shape[1]} components, expected {dim}"
+        elif not np.isfinite(vec).all():
+            fault = f"embedding for {key!r} contains a non-finite value"
+        else:
+            vectors.append(vec)
+            dim = vec.shape[1]
+            continue
+        raise DataError(where(i) + fault)
+    return np.concatenate(vectors)
 
 
 @dataclass(frozen=True)
@@ -200,10 +239,7 @@ class EmbeddingTable:
     def from_dict(cls, raw: dict[str, "list[float] | np.ndarray"]) -> "EmbeddingTable":
         if not raw:
             raise DataError("embedding table is empty")
-        rows: list[np.ndarray] = []
-        for key, value in raw.items():
-            rows.append(_check_vector(key, value, rows[0].shape[0] if rows else None))
-        return cls(ids=tuple(raw), matrix=np.array(rows))
+        return cls(ids=tuple(raw), matrix=_check_vectors(list(raw.items()), None))
 
     @property
     def dim(self) -> int:
@@ -308,30 +344,18 @@ def _require_str_list(obj: dict, field: str, path: Path | str, lineno: int) -> l
 def load_corpus(path: str | Path) -> Corpus:
     """Load a JSONL corpus ({"id","text"} per line), preserving file order.
 
-    Duplicate ids are a hard error: silently keeping one copy would corrupt
-    downstream document statistics.
+    Each line passes the document contract (see :func:`_check_document`);
+    its error names the line.  Duplicate ids are a hard error: silently
+    keeping one copy would corrupt downstream document statistics.
     """
     docs: list[Document] = []
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
-        doc_id, text = obj.get("id"), obj.get("text")
-        if not (
-            type(doc_id) is str
-            and type(text) is str
-            and doc_id
-            and doc_id not in seen
-            and text.strip()
-        ):  # the line breaks the contract: word the error with its checks
-            doc = Document(
-                id=_require_str(obj, "id", path, lineno),
-                text=_require_str(obj, "text", path, lineno),
-            )
-            try:
-                _check_document(doc, seen)
-            except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        seen.add(doc_id)
-        docs.append(Document(id=doc_id, text=text))
+        try:
+            _check_document(obj, seen)
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        docs.append(Document(id=obj["id"], text=obj["text"]))
     return Corpus(docs=tuple(docs))
 
 
@@ -383,70 +407,41 @@ def iter_generated(path: str | Path) -> Iterator[tuple[str, list[str]]]:
 _EMBEDDING_BLOCK_ROWS = 128  # rows per numpy check; bounded, so memory stays flat
 
 
-def _append_rows(
-    out: array, block: list[tuple[int, str, object]], dim: int | None, path: Path | str
-) -> int | None:
-    """Check a block of (line number, id, vector) rows, append them to ``out``
-    as float64 and empty the block; returns the table's dimension.
-
-    One ``np.array`` built without a dtype, so strings and nulls do not
-    pass, checks the whole block when every vector is a flat list of finite
-    numbers of width ``dim``.  Otherwise each row is re-checked with
-    :func:`_check_vector`, so the first bad line gets its error.
-    """
-    if not block:
-        return dim
-    try:
-        matrix = np.array([vector for _, _, vector in block])
-    except (ValueError, TypeError, OverflowError):
-        matrix = None
-    if not (
-        matrix is not None
-        and matrix.dtype.kind in "biuf"
-        and matrix.ndim == 2
-        and matrix.shape[1] != 0
-        and matrix.shape[1] == (dim or matrix.shape[1])
-        and np.isfinite(matrix).all()
-    ):
-        vectors = []
-        for lineno, key, vector in block:
-            try:
-                vectors.append(_check_vector(key, vector, dim))
-            except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            dim = vectors[0].shape[0]
-        matrix = np.array(vectors)
-    out.frombytes(matrix.astype(np.float64, copy=False).tobytes())
-    block.clear()
-    return matrix.shape[1]
-
-
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load an embedding table from JSONL ({"id","vector"} per line).
 
     The dimensionality is fixed by the first line; later lines must agree.
-    Rows are checked in blocks of :data:`_EMBEDDING_BLOCK_ROWS` (see
-    :func:`_append_rows`); the first bad line in file order is the one
-    reported, whatever its fault.
+    Rows pass :func:`_check_vectors` :data:`_EMBEDDING_BLOCK_ROWS` at a
+    time; the first bad line in file order is the one reported, whatever
+    its fault.
     """
     ids: dict[str, None] = {}  # an ordered set: file order, for the duplicate check
     rows = array("d")  # one growing buffer, not per-row arrays stacked at the end
-    block: list[tuple[int, str, object]] = []
+    block: list[tuple[int, str, object]] = []  # (line number, id, vector) rows to check
     dim: int | None = None
+
+    def check_block() -> None:
+        nonlocal dim
+        if block:
+            pairs = [(key, vector) for _, key, vector in block]
+            matrix = _check_vectors(pairs, dim, lambda i: f"{path}: line {block[i][0]}: ")
+            rows.frombytes(matrix.tobytes())
+            dim = matrix.shape[1]
+            block.clear()
+
     for lineno, obj in iter_jsonl(path):
         key = obj.get("id")
         if type(key) is not str or "vector" not in obj or key in ids:
-            dim = _append_rows(rows, block, dim, path)  # earlier lines are reported first
+            check_block()  # earlier lines are reported first
             key = _require_str(obj, "id", path, lineno)
-            vector = _require(obj, "vector", path, lineno)
-            # A bad vector on this line is reported before its duplicate id.
-            _append_rows(rows, [(lineno, key, vector)], dim, path)
+            block.append((lineno, key, _require(obj, "vector", path, lineno)))
+            check_block()  # a bad vector on this line is reported before its duplicate id
             raise DataError(f"{path}: line {lineno}: duplicate embedding id {key!r}")
         ids[key] = None
         block.append((lineno, key, obj["vector"]))
         if len(block) == _EMBEDDING_BLOCK_ROWS:
-            dim = _append_rows(rows, block, dim, path)
-    dim = _append_rows(rows, block, dim, path)
+            check_block()
+    check_block()
     if dim is None:
         raise DataError(f"{path}: no embeddings found")
     return EmbeddingTable(ids=tuple(ids), matrix=np.frombuffer(rows).reshape(len(ids), dim))

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import normalize
+from .corpus import _check_count, normalize
 from .errors import GeneratorError, RetriableGeneratorError
 from .retrieval import interleave_round_robin
 
@@ -51,8 +51,7 @@ class GeneratorRequest:
     emit_question: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_facets < 1:
-            raise ValueError(f"max_facets must be >= 1, got {self.max_facets}")
+        _check_count("max_facets", self.max_facets)
 
 
 def extractive_generate(request: GeneratorRequest) -> Clarification:
@@ -185,8 +184,7 @@ def fuse_round_robin(
     Facets are normalized first; duplicates are skipped without back-fill,
     and the output is capped at max_facets.
     """
-    if max_facets < 1:
-        raise ValueError(f"max_facets must be >= 1, got {max_facets}")
+    _check_count("max_facets", max_facets)
     normalized: list[list[str]] = []
     for lst in facet_lists:
         norm = [" ".join(normalize(f)) for f in lst]

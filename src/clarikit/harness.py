@@ -32,6 +32,7 @@ from .corpus import (
     ClarificationInstance,
     Corpus,
     EmbeddingTable,
+    _check_count,
     _is_finite_number,
     _is_int,
     iter_generated,
@@ -365,9 +366,9 @@ def evidence_size_sweep(
     """
     if not n_values:
         raise ValueError("n_values is empty")
-    if any(n < 1 for n in n_values) or any(
-        b <= a for a, b in zip(n_values, n_values[1:])
-    ):
+    for i, n in enumerate(n_values):
+        _check_count(f"n_values[{i}]", n)
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing positive integers")
 
     build_config = replace(pool_config, k=max(max(n_values), pool_config.k))
@@ -431,8 +432,7 @@ def taxonomy_analysis(
     """
     if not instances:
         raise DataError("no instances given")
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    _check_count("top_k", top_k)
     facet_tokens = [
         [normalize(facet, drop_stopwords=True) for facet in inst.facets] for inst in instances
     ]
@@ -483,7 +483,8 @@ _CONFIG_REQUIRED = ("corpus", "instances", "retrieval", "generator", "seed", "ou
 
 
 def _config_hash(config: dict, paths: dict[str, Path]) -> str:
-    """sha256 over the config as written and the sha256 of each input file."""
+    """sha256 over the config as written, less its ``output_dir``, and the
+    sha256 of each input file: the same experiment written elsewhere hashes alike."""
     import hashlib  # here, so commands that hash nothing never load OpenSSL
 
     inputs = {}
@@ -495,6 +496,7 @@ def _config_hash(config: dict, paths: dict[str, Path]) -> str:
             while chunk := fh.read(1 << 16):
                 digest.update(chunk)
         inputs[key] = digest.hexdigest()
+    config = {key: value for key, value in config.items() if key != "output_dir"}
     canonical = json.dumps(
         {"config": config, "inputs": inputs}, sort_keys=True, separators=(",", ":")
     )
@@ -790,8 +792,7 @@ def paired_bootstrap(
     be >= 1 and ``seed`` an integer >= 0, or ``ValueError`` is raised; a
     draw of iterations x instances that does not fit raises ``DataError``.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    _check_count("iterations", iterations)
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 

@@ -46,7 +46,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .corpus import normalize
+from .corpus import _check_count, normalize
 from .errors import DataError
 
 __all__ = [
@@ -376,8 +376,7 @@ def bleu_n(candidate: str, reference: str, n: int) -> float:
     rather than dividing by zero.  Brevity penalty is exp(1 - r/c) for c < r.
     An order-1 precision of zero short-circuits to 0.0.
     """
-    if not 1 <= n <= 4:
-        raise ValueError(f"n must be in 1..4, got {n}")
+    _check_count("n", n, 1, 4)
     return _bleu(_Facet(candidate), _Facet(reference))[n - 1]
 
 

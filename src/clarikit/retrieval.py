@@ -30,9 +30,9 @@ from .corpus import (
     ClarificationInstance,
     Corpus,
     EmbeddingTable,
-    _check_vector,
+    _check_count,
+    _check_vectors,
     _is_finite_number,
-    _is_int,
     normalize,
 )
 from .errors import DataError
@@ -362,8 +362,7 @@ def bm25_retrieve(
     tokens contribute once per occurrence.  Ties break on ascending doc id;
     only documents sharing at least one term with the query are returned.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_count("k", k)
     _check_bm25_params(k1, b)
     (ranking,) = _bm25_rankings(index, query, (), k, k1, b)
     return ranking
@@ -381,9 +380,8 @@ def dense_retrieve(
     table's dimension: a wrong width, a ragged or non-numeric list and a
     non-finite value each raise :class:`DataError`.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    query = _check_vector("query vector", query_vector, table.dim)
+    _check_count("k", k)
+    query = _check_vectors([("query vector", query_vector)], table.dim)[0]
     scores = table.matrix @ query
     return _top_k(np.arange(len(scores)), scores, table.ids, k)
 
@@ -419,8 +417,7 @@ def interleave_round_robin(
     skipped without back-filling from deeper in its own list, so the output
     can be shorter than max_items.  Within-list relative order is preserved.
     """
-    if max_items < 1:
-        raise ValueError(f"max_items must be >= 1, got {max_items}")
+    _check_count("max_items", max_items)
     keyfn = key if key is not None else lambda item: item
     seen: set[Hashable] = set()
     out: list[T] = []
@@ -463,11 +460,7 @@ class RetrievalConfig:
         if self.alignment not in ("query_only", "facet_aligned", "oracle", "closed_book"):
             raise ValueError(f"unknown alignment {self.alignment!r}")
         for name in ("k", "candidate_n"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            _check_count(name, getattr(self, name))
         if self.mmr_lambda is not None:
             if not (_is_finite_number(self.mmr_lambda) and 0.0 <= self.mmr_lambda <= 1.0):
                 raise ValueError(f"mmr_lambda must be in [0, 1], got {self.mmr_lambda}")
@@ -618,8 +611,9 @@ def mmr_rerank(
     original rank (candidate position).  Scores on the returned docs are
     the original relevance scores, so they need not be monotone.
     """
-    if not 0.0 <= lam <= 1.0:
+    if not (_is_finite_number(lam) and 0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    _check_count("k", k, 0)
     if not candidates:
         if k > 0:
             raise DataError("cannot rerank an empty candidate list")

@@ -672,8 +672,8 @@ def _sha256(path: Path) -> str:
 
 
 # sha256 of the planted-fixture outputs that TestGoldenOutputs pins.
-REPORT_SHA256 = "7385736a910a0b48bf0f350775e3ffbd93b5e411ed5692937240fadad07cec19"
-SUMMARY_SHA256 = "758c7e888c8b3bb9dadebd4501a333abae032d190373dad366ead115e3aed1de"
+REPORT_SHA256 = "8566443f86e242d1d96908858f11fd1bab2aebab5dca22d90e555ecc58e852f8"
+SUMMARY_SHA256 = "9b030f8fa0572e6fddef94b9f0b87816b25e49376aead16dee8480179135bef9"
 EVALUATE_JSONL_SHA256 = "d94c1e7570e534cae1558c870bcce181c400bc42c2e3555a570deb452ed4ce4a"
 EVALUATE_CSV_SHA256 = "6b57a9c1737b95958bfef843c43c65827c8e0680c0c3ed846b5c88505ae0b668"
 
@@ -695,8 +695,8 @@ class TestGoldenOutputs:
             "output_dir": "out",
         }
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        # output_dir resolves against the working directory, so config_hash
-        # holds no absolute path.
+        # config_hash covers no output_dir, and the relative input paths
+        # resolve against the config's directory: it holds no absolute path.
         monkeypatch.chdir(tmp_path)
         assert main(["experiment", "--config", "config.json"]) == 0
         assert _sha256(tmp_path / "out" / "report.json") == REPORT_SHA256
@@ -1369,7 +1369,7 @@ ERROR_PATHS = {
         2,
         "data error: top_k must be >= 1, got 0",
     ),
-    "taxonomy-no-instances": ("", _TAXONOMY, 2, "data error: no instances given"),
+    "taxonomy-no-instances": ("", _TAXONOMY, 2, "data error: {bad}: no instances given"),
     "loo-no-instances": (
         _config(instances="empty"),
         ["loo", "--config", "{bad}", "--seed", "1", "--out", "{out}"],

@@ -1,6 +1,7 @@
 """Loaders and the shared normalizer."""
 
 import json
+import math
 import sys
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from clarikit import corpus as corpus_module
 from clarikit.corpus import (
+    ClarificationInstance,
     Corpus,
     Document,
     EmbeddingTable,
@@ -24,7 +26,18 @@ from clarikit.corpus import (
     stopwords,
 )
 from clarikit.errors import DataError
-from clarikit.retrieval import build_inverted_index
+from clarikit.generator import GeneratorRequest, extractive_generate, fuse_round_robin
+from clarikit.harness import evidence_size_sweep, paired_bootstrap, taxonomy_analysis
+from clarikit.metrics import bleu_n
+from clarikit.retrieval import (
+    RetrievalConfig,
+    ScoredDoc,
+    bm25_retrieve,
+    build_inverted_index,
+    dense_retrieve,
+    interleave_round_robin,
+    mmr_rerank,
+)
 
 
 def normalize_oracle(text: str, drop_stopwords: bool = False) -> list[str]:
@@ -242,19 +255,20 @@ class TestIterJsonl:
 
 
 def corpus_oracle(path) -> Corpus:
-    """The per-field loader: each field through its helper, each document
-    through the document contract."""
+    """The per-field loader: each field through its helper, then the
+    document contract one fault at a time."""
     docs, seen = [], set()
     for lineno, obj in iter_jsonl(path):
-        doc = Document(
-            id=corpus_module._require_str(obj, "id", path, lineno),
-            text=corpus_module._require_str(obj, "text", path, lineno),
-        )
-        try:
-            corpus_module._check_document(doc, seen)
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
-        docs.append(doc)
+        doc_id = corpus_module._require_str(obj, "id", path, lineno)
+        text = corpus_module._require_str(obj, "text", path, lineno)
+        if not doc_id:
+            raise DataError(f"{path}: line {lineno}: empty document id")
+        if doc_id in seen:
+            raise DataError(f"{path}: line {lineno}: duplicate document id {doc_id!r}")
+        if not text.strip():
+            raise DataError(f"{path}: line {lineno}: document {doc_id!r} has empty text")
+        seen.add(doc_id)
+        docs.append(Document(doc_id, text))
     return Corpus(docs=tuple(docs))
 
 
@@ -389,6 +403,22 @@ class TestLoadInstances:
         assert instances[0].facets == ("b", "a")
 
 
+def vector_fault(key, vector) -> str | None:
+    """The embedding contract item by item, for a list of the table's width:
+    the error it raises, or None."""
+    if not all(isinstance(x, (int, float)) for x in vector):
+        return "'vector' must be a list of numbers"
+    if not vector:
+        return f"embedding for {key!r} is empty"
+    try:
+        values = [float(x) for x in vector]
+    except OverflowError:
+        return f"embedding for {key!r} holds a number beyond float range"
+    if not all(math.isfinite(x) for x in values):
+        return f"embedding for {key!r} contains a non-finite value"
+    return None
+
+
 class TestLoadEmbeddings:
     def write(self, tmp_path, lines):
         path = tmp_path / "embeddings.jsonl"
@@ -495,9 +525,9 @@ class TestLoadEmbeddings:
     def test_vector_check_matches_per_item_oracle(
         self, tmp_path_factory, vector, before, after, block, data
     ):
-        # One drawn vector among good rows of its width, checked in blocks of
-        # `block` rows: only its line can fail, and a file that loads holds
-        # the matrix from_dict makes of the same rows.
+        # One drawn vector among good rows of its width.  The loader, checking
+        # blocks of `block` rows, from_dict and a dense query each take it as
+        # the per-item oracle converts it, or fail with the oracle's message.
         numeric = all(isinstance(x, (int, float)) for x in vector)
         width = len(vector) if numeric and vector else 2
         good = st.lists(
@@ -514,24 +544,27 @@ class TestLoadEmbeddings:
         raw = {f"d{i}": row for i, row in enumerate(rows)}
         lines = [json.dumps({"id": key, "vector": row}) for key, row in raw.items()]
         path = self.write(tmp_path_factory.mktemp("emb"), lines)
-        if not numeric:
-            expected = "'vector' must be a list of numbers"
-        else:
-            try:
-                expected_table = EmbeddingTable.from_dict(raw)
-            except DataError as exc:
-                expected = str(exc)
-            else:
-                with mock.patch.object(corpus_module, "_EMBEDDING_BLOCK_ROWS", block):
-                    table = load_embeddings(path)
-                assert table.ids == expected_table.ids
-                assert table.matrix.dtype == np.float64
-                assert table.matrix.tobytes() == expected_table.matrix.tobytes()
-                return
+        unit = EmbeddingTable.from_dict({"e": [1.0] + [0.0] * (width - 1)})
+        fault = vector_fault(f"d{before}", vector)
         with mock.patch.object(corpus_module, "_EMBEDDING_BLOCK_ROWS", block):
-            with pytest.raises(DataError) as err:
-                load_embeddings(path)
-        assert str(err.value) == f"{path}: line {before + 1}: {expected}"
+            if fault is not None:
+                with pytest.raises(DataError) as err:
+                    load_embeddings(path)
+                assert str(err.value) == f"{path}: line {before + 1}: {fault}"
+                with pytest.raises(DataError) as err:
+                    EmbeddingTable.from_dict(raw)
+                assert str(err.value) == fault
+                with pytest.raises(DataError) as err:
+                    dense_retrieve(unit, vector, 1)
+                assert str(err.value) == vector_fault("query vector", vector)
+                return
+            table = load_embeddings(path)
+        expected = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+        for got in (table, EmbeddingTable.from_dict(raw)):
+            assert got.ids == tuple(raw)
+            assert got.matrix.dtype == np.float64
+            assert got.matrix.tobytes() == expected.tobytes()
+        assert dense_retrieve(unit, vector, 1)[0].score == float(vector[0])
 
     @pytest.mark.parametrize("block", [1, 2, 3, 1024])
     @pytest.mark.parametrize(
@@ -593,3 +626,102 @@ class TestCorpusObject:
         assert len(tiny_corpus) == 3
         with pytest.raises(DataError):
             tiny_corpus.doc("nope")
+
+
+def _count_fault(name, value, low=1):
+    """The count rule's message for ``value``, or None for a count >= low."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        return f"{name} must be an integer, got {value!r}"
+    return f"{name} must be >= {low}, got {value}" if value < low else None
+
+
+def _planted_index():
+    return build_inverted_index(Corpus.from_docs([Document("d1", "penny cast")]))
+
+
+_ONE = [ScoredDoc("d1", 1.0, 1)]
+_NO_SIM = lambda a, b: 0.0
+_ROWS = [{"instance_id": "i1", "m": 1.0}]
+_INSTANCE = ClarificationInstance(id="i1", query="penny", facets=("cast",))
+
+# Each entry point that takes a count: (name in its message, lowest count, call).
+_COUNTS = {
+    "RetrievalConfig.k": ("k", 1, lambda v: RetrievalConfig(k=v)),
+    "RetrievalConfig.candidate_n": ("candidate_n", 1, lambda v: RetrievalConfig(candidate_n=v)),
+    "GeneratorRequest": ("max_facets", 1, lambda v: GeneratorRequest("q", ("a",), v)),
+    "fuse_round_robin": ("max_facets", 1, lambda v: fuse_round_robin([["a"]], v)),
+    "interleave_round_robin": ("max_items", 1, lambda v: interleave_round_robin([["a"]], v)),
+    "bm25_retrieve": ("k", 1, lambda v: bm25_retrieve(_planted_index(), "penny", v)),
+    "dense_retrieve": ("k", 1, lambda v: dense_retrieve(EmbeddingTable.from_dict({"d1": [1]}), [1], v)),
+    "mmr_rerank": ("k", 0, lambda v: mmr_rerank(_ONE, 0.5, v, _NO_SIM)),
+    "taxonomy_analysis": ("top_k", 1, lambda v: taxonomy_analysis([_INSTANCE], v)),
+    "paired_bootstrap": ("iterations", 1, lambda v: paired_bootstrap(_ROWS, _ROWS, "m", v)),
+    "bleu_n": ("n", 1, lambda v: bleu_n("a", "a", v)),
+    "evidence_size_sweep": (
+        "n_values[1]",
+        1,
+        lambda v: evidence_size_sweep([], extractive_generate, RetrievalConfig(), [1, v]),
+    ),
+}
+_VALUES = [True, 2.5, math.nan, math.inf, 0, -1, "3"]
+
+
+class TestInputRules:
+    """Every entry point that takes a count, an embedding vector or a
+    document applies that rule's one checker and gives its message."""
+
+    @pytest.mark.parametrize("value", _VALUES, ids=repr)
+    @pytest.mark.parametrize("name, low, call", _COUNTS.values(), ids=list(_COUNTS))
+    def test_count(self, name, low, call, value):
+        message = _count_fault(name, value, low)
+        if message is None:
+            call(value)
+            return
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
+    def test_bleu_order_above_four(self):
+        with pytest.raises(ValueError, match=r"^n must be <= 4, got 5$"):
+            bleu_n("a", "a", 5)
+
+    @pytest.mark.parametrize("value", _VALUES, ids=repr)
+    def test_mmr_lambda_follows_mmr_lambda(self, value):
+        # RetrievalConfig's mmr_lambda rule: a finite number in [0, 1], not a bool.
+        if value == 0 and not isinstance(value, bool):
+            assert mmr_rerank(_ONE, value, 1, _NO_SIM)[0].doc_id == "d1"
+            return
+        with pytest.raises(ValueError) as err:
+            mmr_rerank(_ONE, value, 1, _NO_SIM)
+        assert str(err.value) == f"lambda must be in [0, 1], got {value}"
+        with pytest.raises(ValueError):
+            RetrievalConfig(mmr_lambda=value)
+
+    @pytest.mark.parametrize("value", _VALUES, ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: EmbeddingTable.from_dict({"d1": v}),
+            lambda v: dense_retrieve(EmbeddingTable.from_dict({"d1": [1]}), v, 1),
+        ],
+        ids=["from_dict", "dense_query"],
+    )
+    def test_vector(self, call, value):
+        with pytest.raises(DataError, match=r"^'vector' must be a list of numbers$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", _VALUES, ids=repr)
+    @pytest.mark.parametrize("field", ["id", "text"])
+    def test_document(self, tmp_path, field, value):
+        fields = {"id": "d1", "text": "x", field: value}
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(fields) + "\n", encoding="utf-8")
+        if isinstance(value, str):
+            assert load_corpus(path) == Corpus.from_docs([Document(**fields)])
+            return
+        with pytest.raises(DataError, match=rf"^field '{field}' must be a string$"):
+            Corpus.from_docs([Document(**fields)])
+        with pytest.raises(DataError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{path}: line 1: field '{field}' must be a string"

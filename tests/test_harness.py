@@ -768,6 +768,18 @@ class TestRunExperiment:
         report = run_experiment(tmp_path / "b" / "config.json")
         assert report.config_hash != hashes[0]
 
+    def test_config_hash_ignores_the_output_dir(self, tmp_path):
+        corpus = Corpus.from_docs([Document("d1", "cast and crew")])
+        instances = [ClarificationInstance(id="i1", query="penny", facets=("cast",))]
+        config = experiment_config(tmp_path, corpus, instances, {"alignment": "oracle", "k": 5})
+        reports = [
+            run_experiment({**config, "output_dir": str(tmp_path / name)})
+            for name in ("out", "out2")
+        ]
+        assert reports[0].config_hash == reports[1].config_hash
+        first, second = ((tmp_path / name / "report.json").read_bytes() for name in ("out", "out2"))
+        assert first == second
+
     def test_config_validation_errors(self, tmp_path):
         corpus = Corpus.from_docs([Document("d1", "text here")])
         instances = [ClarificationInstance(id="i", query="q", facets=("a",))]
