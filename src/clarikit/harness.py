@@ -482,9 +482,14 @@ class ExperimentReport:
 _CONFIG_REQUIRED = ("corpus", "instances", "retrieval", "generator", "seed", "output_dir")
 
 
+# Where a run writes and where it reads: each input file's sha256 is hashed instead.
+_UNHASHED_KEYS = frozenset({"output_dir", "corpus", "instances", "embeddings"})
+
+
 def _config_hash(config: dict, paths: dict[str, Path]) -> str:
-    """sha256 over the config as written, less its ``output_dir``, and the
-    sha256 of each input file: the same experiment written elsewhere hashes alike."""
+    """sha256 over the config as written, less its ``output_dir`` and input
+    paths, and the sha256 of each input file: the same experiment written
+    elsewhere, or naming its inputs by another path, hashes alike."""
     import hashlib  # here, so commands that hash nothing never load OpenSSL
 
     inputs = {}
@@ -496,7 +501,7 @@ def _config_hash(config: dict, paths: dict[str, Path]) -> str:
             while chunk := fh.read(1 << 16):
                 digest.update(chunk)
         inputs[key] = digest.hexdigest()
-    config = {key: value for key, value in config.items() if key != "output_dir"}
+    config = {key: value for key, value in config.items() if key not in _UNHASHED_KEYS}
     canonical = json.dumps(
         {"config": config, "inputs": inputs}, sort_keys=True, separators=(",", ":")
     )

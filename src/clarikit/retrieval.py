@@ -83,8 +83,10 @@ class InvertedIndex:
     Postings are stored once, as a term-major CSR (compressed sparse row)
     layout of the (term, document, tf) triples: the postings of term id
     ``t`` are ``ordinals[offsets[t]:offsets[t + 1]]`` with their ``tfs``,
-    in ascending document ordinal.  The doc-major layout, the forward
-    index, is derived from it on first use (see :attr:`forward`).
+    in ascending document ordinal.  ``tfs`` has the narrowest unsigned
+    type that holds the longest run: uint8 up to a tf of 255, then uint16,
+    then uint32.  The doc-major layout, the forward index, is derived from
+    it on first use (see :attr:`forward`).
 
     ``term_ids`` maps each term to its id.  Indexes compare by identity,
     since a field-wise ``==`` would compare numpy arrays.
@@ -117,7 +119,7 @@ class InvertedIndex:
 
         The terms of document ordinal ``d`` are
         ``doc_terms[doc_offsets[d]:doc_offsets[d + 1]]`` with their
-        ``doc_tfs``, in ascending term id.
+        ``doc_tfs``, in ascending term id; ``doc_tfs`` has the type of ``tfs``.
         """
         arrays = _transpose(self.offsets, self.ordinals, self.tfs, self.doc_count)
         for arr in arrays:
@@ -125,7 +127,10 @@ class InvertedIndex:
         return arrays
 
     def posting(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """(ordinals, tfs) of one term; empty arrays for an unknown term."""
+        """(ordinals, tfs) of one term; empty arrays for an unknown term.
+
+        The tfs have the index's narrowest unsigned type that holds them all.
+        """
         t = self.term_ids.get(term)
         if t is None:
             return self.ordinals[:0], self.tfs[:0]
@@ -180,41 +185,57 @@ def _add_ordinals(keys: np.ndarray, doc_lengths: np.ndarray) -> None:
         lo = hi
 
 
-def _is_run_start(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Which of ``keys[lo:hi]`` start a run of equal sorted keys."""
-    chunk = keys[lo:hi]
-    is_start = np.empty(len(chunk), dtype=bool)
-    is_start[0] = lo == 0 or keys[lo] != keys[lo - 1]
-    np.not_equal(chunk[1:], chunk[:-1], out=is_start[1:])
-    return is_start
+def _run_starts(keys: np.ndarray):
+    """Yield, a chunk at a time, the positions in the sorted ``keys`` at
+    which a run of equal keys starts.
+
+    Each chunk is compared only when it is drawn, so between draws the
+    caller may write over the chunks drawn so far, as long as the last key
+    of the latest one, which the next chunk compares with, keeps its value.
+    """
+    n = len(keys)
+    for lo in range(0, n, _RUN_CHUNK):
+        chunk = keys[lo : lo + _RUN_CHUNK]
+        is_start = np.empty(len(chunk), dtype=bool)
+        is_start[0] = lo == 0 or keys[lo] != keys[lo - 1]
+        np.not_equal(chunk[1:], chunk[:-1], out=is_start[1:])
+        starts = np.flatnonzero(is_start)
+        starts += lo
+        yield starts
 
 
 def _compact_runs(keys: np.ndarray) -> np.ndarray:
     """Move the first key of each run to the front of the sorted ``keys``,
     in order, and return the length of each run.
 
-    A first pass counts the runs, so the lengths are allocated once.  The
-    second writes each chunk's run starts into them, and its starting keys
-    to the front: to positions below the chunk, and where it writes over a
-    key the next chunk compares with, it writes that key's own value.  An
-    in-place difference then turns the starts into lengths.
+    A first pass counts the runs and finds the longest, so the lengths are
+    allocated once, in the narrowest unsigned type that holds every one.
+    The second writes each chunk's starting keys to the front: to positions
+    below the chunk, and where it writes over a key the next chunk compares
+    with, it writes that key's own value.  Each run's length is the
+    distance from its start to the next one, or to the end; the start of
+    the run still open is carried across chunks, even those with no start.
     """
     n = len(keys)
-    chunks = [(lo, min(lo + _RUN_CHUNK, n)) for lo in range(0, n, _RUN_CHUNK)]
-    n_runs = sum(np.count_nonzero(_is_run_start(keys, lo, hi)) for lo, hi in chunks)
-    tfs = np.empty(n_runs, dtype=np.int32)
-    n_runs = 0
-    for lo, hi in chunks:
-        starts = np.flatnonzero(_is_run_start(keys, lo, hi))
+    n_runs = longest = last = 0
+    for starts in _run_starts(keys):
+        if len(starts):
+            longest = max(longest, int(np.diff(starts, prepend=last).max()))
+            last = int(starts[-1])
+            n_runs += len(starts)
+    tfs = np.empty(n_runs, dtype=np.min_scalar_type(max(longest, n - last)))
+    n_runs = last = 0
+    for starts in _run_starts(keys):
         m = len(starts)
-        keys[n_runs : n_runs + m] = keys[lo:hi][starts]
-        starts += lo
-        tfs[n_runs : n_runs + m] = starts
+        if not m:
+            continue
+        keys[n_runs : n_runs + m] = keys[starts]
+        if n_runs:
+            tfs[n_runs - 1] = starts[0] - last
+        np.subtract(starts[1:], starts[:-1], out=tfs[n_runs : n_runs + m - 1], casting="unsafe")
+        last = int(starts[-1])
         n_runs += m
-    for lo in range(0, n_runs - 1, _RUN_CHUNK):
-        hi = min(lo + _RUN_CHUNK, n_runs - 1)
-        np.subtract(tfs[lo + 1 : hi + 1], tfs[lo:hi], out=tfs[lo:hi])
-    tfs[-1:] = n - tfs[-1:]
+    tfs[-1:] = n - last
     return tfs
 
 

@@ -672,8 +672,8 @@ def _sha256(path: Path) -> str:
 
 
 # sha256 of the planted-fixture outputs that TestGoldenOutputs pins.
-REPORT_SHA256 = "8566443f86e242d1d96908858f11fd1bab2aebab5dca22d90e555ecc58e852f8"
-SUMMARY_SHA256 = "9b030f8fa0572e6fddef94b9f0b87816b25e49376aead16dee8480179135bef9"
+REPORT_SHA256 = "fe2bb12a86f6f550218df6c9b302ae5a7c7f9a59697f69757a4d6c03bdadd300"
+SUMMARY_SHA256 = "a37a3257a10074d8b73b55ebbc24c44deb5f639449070e02b6f211b946e0c074"
 EVALUATE_JSONL_SHA256 = "d94c1e7570e534cae1558c870bcce181c400bc42c2e3555a570deb452ed4ce4a"
 EVALUATE_CSV_SHA256 = "6b57a9c1737b95958bfef843c43c65827c8e0680c0c3ed846b5c88505ae0b668"
 
@@ -695,8 +695,8 @@ class TestGoldenOutputs:
             "output_dir": "out",
         }
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        # config_hash covers no output_dir, and the relative input paths
-        # resolve against the config's directory: it holds no absolute path.
+        # config_hash covers neither the output_dir nor the input paths,
+        # only the input files' bytes, so it holds no absolute path.
         monkeypatch.chdir(tmp_path)
         assert main(["experiment", "--config", "config.json"]) == 0
         assert _sha256(tmp_path / "out" / "report.json") == REPORT_SHA256

@@ -4,6 +4,7 @@ full runs, and the paired bootstrap."""
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -778,6 +779,23 @@ class TestRunExperiment:
         ]
         assert reports[0].config_hash == reports[1].config_hash
         first, second = ((tmp_path / name / "report.json").read_bytes() for name in ("out", "out2"))
+        assert first == second
+
+    def test_config_hash_ignores_absolute_input_paths(self, tmp_path):
+        # Identical files in two directories, each config naming its own by
+        # absolute path: only the files' bytes enter the hash.
+        corpus = Corpus.from_docs([Document("d1", "cast and crew")])
+        instances = [ClarificationInstance(id="i1", query="penny", facets=("cast",))]
+        reports = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            config = experiment_config(
+                tmp_path / name, corpus, instances, {"alignment": "oracle", "k": 5}
+            )
+            assert Path(config["corpus"]).is_absolute()
+            reports.append(run_experiment(config))
+        assert reports[0].config_hash == reports[1].config_hash
+        first, second = ((tmp_path / name / "out" / "report.json").read_bytes() for name in "ab")
         assert first == second
 
     def test_config_validation_errors(self, tmp_path):

@@ -125,8 +125,14 @@ def transpose_oracle(
     return t_offsets, rows[order], vals[order]
 
 
+def tf_type(longest: int) -> type:
+    """The narrowest of uint8, uint16 and uint32 that holds ``longest``."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32) if longest <= np.iinfo(t).max)
+
+
 def index_oracle(corpus: Corpus) -> InvertedIndex:
-    """The per-document build: one Counter per document, then a stable transpose."""
+    """The per-document build: one Counter per document, then a stable
+    transpose; the tfs take the narrowest unsigned type that holds them."""
     term_ids: dict[str, int] = {}  # ids in first-seen order
     row_terms, row_tfs, row_sizes, lengths = [], [], [], []
     for doc in corpus.docs:
@@ -141,7 +147,7 @@ def index_oracle(corpus: Corpus) -> InvertedIndex:
     offsets, ordinals, tfs = transpose_oracle(
         row_offsets,
         np.array(row_terms, dtype=np.int32),
-        np.array(row_tfs, dtype=np.int32),
+        np.array(row_tfs, dtype=tf_type(max(row_tfs, default=0))),
         len(term_ids),
     )
     return InvertedIndex(
@@ -195,6 +201,19 @@ def corpus_of(texts: dict[str, str]) -> Corpus:
     return Corpus.from_docs([Document(i, t) for i, t in texts.items()])
 
 
+def zipf_corpus() -> tuple[Corpus, np.ndarray]:
+    """A seeded Zipf corpus and its document lengths: 2,000 documents of
+    20-100 tokens, word r of a 10,000-word vocabulary drawn with probability
+    proportional to 1 / r."""
+    rng = np.random.default_rng(3)
+    words = np.array([f"w{r}" for r in range(10_000)])
+    lengths = rng.integers(20, 101, size=2_000)
+    p = 1.0 / np.arange(1, len(words) + 1)
+    tokens = iter(words[rng.choice(len(words), int(lengths.sum()), p=p / p.sum())].tolist())
+    corpus = corpus_of({f"d{i}": " ".join(islice(tokens, n)) for i, n in enumerate(lengths)})
+    return corpus, lengths
+
+
 def postings_of(index, term: str) -> list[tuple[int, int]]:
     ordinals, tfs = index.posting(term)
     return list(zip(ordinals.tolist(), tfs.tolist()))
@@ -218,9 +237,14 @@ class TestInvertedIndex:
         assert postings_of(index, "z") == [(2, 1)]
 
     def test_corpus_without_tokens(self):
-        index = build_inverted_index(corpus_of({"d": "...", "e": "?!"}))
+        corpus = corpus_of({"d": "...", "e": "?!"})
+        index = build_inverted_index(corpus)
         assert len(index.term_ids) == 0
         assert index.offsets.tolist() == [0]
+        assert (index.tfs.dtype, index.tfs.shape) == (np.uint8, (0,))
+        assert_same_index(index, index_oracle(corpus))
+        assert [a.dtype for a in index.forward] == [np.int64, np.int32, np.uint8]
+        assert index.forward[0].tolist() == [0, 0, 0]
         assert index.doc_lengths.tolist() == [0, 0]
         assert index.avg_doc_len == 0.0
         assert bm25_retrieve(index, "x", 3) == []
@@ -240,6 +264,7 @@ class TestInvertedIndex:
         assert index.avg_doc_len == expected.avg_doc_len
         assert index.doc_ids == expected.doc_ids
 
+    @pytest.mark.parametrize("val_type", [np.uint8, np.uint16, np.uint32, np.int32])
     @settings(deadline=None, max_examples=200)
     @given(
         st.integers(0, 6).flatmap(
@@ -256,12 +281,12 @@ class TestInvertedIndex:
             )
         )
     )
-    def test_transpose_matches_stable_argsort_oracle(self, csr):
+    def test_transpose_matches_stable_argsort_oracle(self, val_type, csr):
         n_cols, rows = csr
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum([len(row) for row in rows], out=offsets[1:])
         cols = np.array([c for row in rows for c, _ in row], dtype=np.int32)
-        vals = np.array([v for row in rows for _, v in row], dtype=np.int32)
+        vals = np.array([v for row in rows for _, v in row], dtype=val_type)
         got = _transpose(offsets, cols, vals, n_cols)
         want = transpose_oracle(offsets, cols, vals, n_cols)
         for g, w in zip(got, want):
@@ -296,14 +321,7 @@ class TestInvertedIndex:
             assert g.tobytes() == w.tobytes()
 
     def test_build_and_forward_index_peak_above_what_they_keep(self):
-        # A seeded Zipf corpus: 2,000 documents of 20-100 tokens, word r of a
-        # 10,000-word vocabulary drawn with probability proportional to 1 / r.
-        rng = np.random.default_rng(3)
-        words = np.array([f"w{r}" for r in range(10_000)])
-        lengths = rng.integers(20, 101, size=2_000)
-        p = 1.0 / np.arange(1, len(words) + 1)
-        tokens = iter(words[rng.choice(len(words), int(lengths.sum()), p=p / p.sum())].tolist())
-        corpus = corpus_of({f"d{i}": " ".join(islice(tokens, n)) for i, n in enumerate(lengths)})
+        corpus, lengths = zipf_corpus()
 
         def transient_bytes(build):
             """What ``build()`` allocated at its peak above what its result keeps."""
@@ -324,14 +342,9 @@ class TestInvertedIndex:
         assert forward_bytes / len(index.ordinals) < 8
 
     def test_in_place_build_stays_within_its_footprint_across_blocks(self):
-        # The Zipf corpus above: 118,510 tokens in 2,000 documents, so many
-        # ordinal blocks and run-start chunks.
-        rng = np.random.default_rng(3)
-        words = np.array([f"w{r}" for r in range(10_000)])
-        lengths = rng.integers(20, 101, size=2_000)
-        p = 1.0 / np.arange(1, len(words) + 1)
-        tokens = iter(words[rng.choice(len(words), int(lengths.sum()), p=p / p.sum())].tolist())
-        corpus = corpus_of({f"d{i}": " ".join(islice(tokens, n)) for i, n in enumerate(lengths)})
+        # 118,510 tokens in 2,000 documents, so many ordinal blocks and
+        # run-start chunks.
+        corpus, lengths = zipf_corpus()
         assert lengths.sum() > 10 * _RUN_CHUNK and len(lengths) > 3 * _ORDINAL_BLOCK
 
         tracemalloc.start()
@@ -363,6 +376,9 @@ class TestInvertedIndex:
             # chunk holds no run start, and the "x" run starts where it ends.
             [2, 2 * _RUN_CHUNK, 0],
             [2, _RUN_CHUNK - 1],  # the "x" run starts at a chunk's last key
+            # The "w" run starts in the first chunk and ends in the fourth,
+            # so the two chunks between hold no run start; its tf needs uint16.
+            [2, 3 * _RUN_CHUNK + 3],
         ],
         ids=[
             "block-1",
@@ -373,6 +389,7 @@ class TestInvertedIndex:
             "one-token-past-chunk",
             "run-over-chunk",
             "run-into-chunk",
+            "run-over-chunks",
         ],
     )
     def test_block_and_chunk_edges_match_the_oracle(self, lengths):
@@ -387,6 +404,36 @@ class TestInvertedIndex:
         corpus = corpus_of({f"d{i}": text(i, n) for i, n in enumerate(lengths)})
         index = build_inverted_index(corpus)
         assert index.doc_lengths.tolist() == lengths
+        assert_same_index(index, index_oracle(corpus))
+
+    @pytest.mark.parametrize(
+        "longest, dtype",
+        [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)],
+    )
+    def test_tfs_take_the_narrowest_type_that_holds_the_longest_run(self, longest, dtype):
+        texts = {"d0": "x y y", "d1": " ".join(["w"] * longest), "d2": "w x"}
+        corpus = corpus_of(texts)
+        index = build_inverted_index(corpus)
+        assert (index.tfs.dtype, int(index.tfs.max())) == (dtype, longest)
+        assert_same_index(index, index_oracle(corpus))
+        want = transpose_oracle(index.offsets, index.ordinals, index.tfs, index.doc_count)
+        for got, expected in zip(index.forward, want):
+            assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
+        assert index.forward[2].dtype == dtype
+        for query in ("w", "w x y", "y w w"):
+            got = bm25_retrieve(index, query, 3)
+            expected = bm25_oracle(texts, query, 0.9, 0.4)
+            assert {r.doc_id: r.score.hex() for r in got} == {
+                d: score.hex() for d, score in expected.items()
+            }
+
+    def test_a_posting_costs_five_bytes_when_every_tf_fits_a_byte(self):
+        corpus, _ = zipf_corpus()
+        index = build_inverted_index(corpus)
+        n_postings = len(index.ordinals)
+        assert int(index.tfs.max()) < 256 and index.tfs.dtype == np.uint8
+        # An int32 ordinal and a one-byte tf; int32 tfs made it 8.
+        assert (index.ordinals.nbytes + index.tfs.nbytes) / n_postings == 5
         assert_same_index(index, index_oracle(corpus))
 
     def test_shared_term_two_entries(self):
@@ -424,7 +471,7 @@ class TestInvertedIndex:
         assert "forward" not in vars(index)  # derived on first use only
         doc_offsets, doc_terms, doc_tfs = index.forward
         assert index.forward is index.forward
-        assert [a.dtype for a in index.forward] == [np.int64, np.int32, np.int32]
+        assert [a.dtype for a in index.forward] == [np.int64, np.int32, np.uint8]
         term_of = {t: term for term, t in index.term_ids.items()}
         for ordinal, text in enumerate(texts.values()):
             lo, hi = doc_offsets[ordinal], doc_offsets[ordinal + 1]
